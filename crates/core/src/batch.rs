@@ -36,8 +36,9 @@
 
 use crate::chain::FailureChain;
 use crate::config::DeshConfig;
+use crate::explain::ChainMatcher;
 use crate::online::{evaluate_stream, EvictionPolicy, Warning};
-use crate::phase2::{chain_to_vectors, LeadBatch, LeadTimeModel};
+use crate::phase2::{LeadBatch, LeadTimeModel};
 use crate::shadow::ShadowScorer;
 use desh_loggen::{Label, LogRecord, NodeId};
 use desh_logparse::{extract_template_into, is_failure_terminal, label_template, Vocab};
@@ -86,10 +87,6 @@ struct SlotState {
     /// Raw one-step MSE from the wave step, parked here between the
     /// batch step and the deferred in-order walk.
     step_raw: Option<f64>,
-    /// Lazily resolved flight ring (when tracing is attached).
-    flight: Option<Arc<NodeFlight>>,
-    /// Lazily resolved incident-capture ring (when a tap is attached).
-    capture: Option<Arc<NodeCapture>>,
 }
 
 impl SlotState {
@@ -102,8 +99,6 @@ impl SlotState {
             last_seen: Micros(0),
             staged: false,
             step_raw: None,
-            flight: None,
-            capture: None,
         }
     }
 }
@@ -125,7 +120,6 @@ enum Deferred {
     /// A terminal or post-warning quiet event: unscored, but its capture
     /// must land in global record order, so it walks with the wave.
     Silent {
-        slot: usize,
         rec: usize,
         phrase: u32,
         episode_reset: bool,
@@ -139,6 +133,17 @@ struct Tracer {
     warnings: Arc<WarningLog>,
 }
 
+/// A node's flight and capture rings, resolved lazily from the recorder
+/// and the tap on the node's first traced or captured event. Held per
+/// node rather than per slot, so a node that loses its slot and comes
+/// back finds its rings with one hash probe instead of a recorder
+/// lookup by name.
+#[derive(Debug, Default)]
+struct NodeRings {
+    flight: Option<Arc<NodeFlight>>,
+    capture: Option<Arc<NodeCapture>>,
+}
+
 /// Pre-resolved metric handles for the hot path.
 #[derive(Debug)]
 struct BatchMetrics {
@@ -149,6 +154,8 @@ struct BatchMetrics {
     warnings: Arc<Counter>,
     /// `ingest.batch_size` — staged rows per wave step.
     batch_size: Arc<LatencyHistogram>,
+    /// `ingest.evicted_live` — evictions that dropped a live episode.
+    evicted_live: Arc<Counter>,
 }
 
 /// Wave-batched streaming detector for one intake shard.
@@ -166,9 +173,12 @@ pub struct BatchDetector {
     memo: HashMap<String, TemplateInfo>,
     train_vocab: u32,
     quality: Option<QualityMonitor>,
-    chains: Vec<Vec<Vec<f32>>>,
+    chains: ChainMatcher,
     tracer: Option<Tracer>,
     capture: Option<Arc<CaptureTap>>,
+    /// Ring handles by node; outlives slot churn. Empty unless tracing or
+    /// capture is attached.
+    rings: HashMap<NodeId, NodeRings>,
     /// Shadow candidate fed after each chunk settles; observation-only,
     /// so the wave-batched decision stream is untouched by attachment.
     shadow: Option<ShadowScorer>,
@@ -180,6 +190,7 @@ pub struct BatchDetector {
     warnings_emitted: u64,
     buffered_total: u64,
     evicted_nodes: u64,
+    evicted_live: u64,
     // Reused per-chunk scratch.
     staged_rows: Vec<usize>,
     wave_scores: Vec<Option<f64>>,
@@ -211,6 +222,7 @@ impl BatchDetector {
             events: r.counter("online.events"),
             warnings: r.counter("online.warnings"),
             batch_size: r.histogram("ingest.batch_size"),
+            evicted_live: r.counter("ingest.evicted_live"),
         });
         let train_vocab = vocab.len() as u32;
         let eviction = EvictionPolicy::for_gap(cfg.episodes.session_gap_secs);
@@ -226,9 +238,10 @@ impl BatchDetector {
             memo: HashMap::new(),
             train_vocab,
             quality: QualityMonitor::new(telemetry),
-            chains: Vec::new(),
+            chains: ChainMatcher::default(),
             tracer: None,
             capture: None,
+            rings: HashMap::new(),
             shadow: None,
             metrics,
             eviction,
@@ -238,6 +251,7 @@ impl BatchDetector {
             warnings_emitted: 0,
             buffered_total: 0,
             evicted_nodes: 0,
+            evicted_live: 0,
             staged_rows: Vec::new(),
             wave_scores: Vec::new(),
             deferred: Vec::new(),
@@ -249,10 +263,7 @@ impl BatchDetector {
     /// Attach the trained failure chains so warnings can name the nearest
     /// chain (see [`OnlineDetector::attach_chains`](crate::online::OnlineDetector::attach_chains)).
     pub fn attach_chains(&mut self, chains: &[FailureChain]) {
-        self.chains = chains
-            .iter()
-            .map(|c| chain_to_vectors(c, self.model.dt_scale, self.model.vocab_size))
-            .collect();
+        self.chains = ChainMatcher::new(chains, &self.model);
     }
 
     /// Attach decision tracing (flight rings + warning log), identical in
@@ -307,6 +318,14 @@ impl BatchDetector {
     /// Total node states evicted (idle TTL or slot pressure).
     pub fn evicted_nodes(&self) -> u64 {
         self.evicted_nodes
+    }
+
+    /// Evictions that dropped a live episode: the node still had buffered
+    /// events and was seen within `session_gap_secs` of the shard clock,
+    /// so the sequential detector would have kept that context. Each one
+    /// may change a later decision for that node.
+    pub fn evicted_live(&self) -> u64 {
+        self.evicted_live
     }
 
     /// Events currently buffered across resident nodes.
@@ -397,7 +416,6 @@ impl BatchDetector {
                 st.has_stream = false;
                 if self.capture.is_some() {
                     self.deferred.push(Deferred::Silent {
-                        slot,
                         rec,
                         phrase,
                         episode_reset,
@@ -408,7 +426,6 @@ impl BatchDetector {
             if st.warned {
                 if self.capture.is_some() {
                     self.deferred.push(Deferred::Silent {
-                        slot,
                         rec,
                         phrase,
                         episode_reset,
@@ -516,6 +533,13 @@ impl BatchDetector {
         self.buffered_total -= st.events.len() as u64;
         self.free.push(slot);
         self.evicted_nodes += 1;
+        let gap = Micros::from_secs_f64(self.cfg.episodes.session_gap_secs);
+        if !st.events.is_empty() && self.clock.saturating_sub(st.last_seen) <= gap {
+            self.evicted_live += 1;
+            if let Some(m) = &self.metrics {
+                m.evicted_live.inc();
+            }
+        }
     }
 
     /// Evict every resident idle past the TTL (against the record-time
@@ -570,7 +594,7 @@ impl BatchDetector {
                         &self.model,
                         &self.cfg,
                         &self.vocab,
-                        &self.chains,
+                        &mut self.chains,
                         &self.slots[slot].as_ref().unwrap().events,
                         transitions,
                         mean_raw,
@@ -601,8 +625,10 @@ impl BatchDetector {
                         None
                     };
                     if let (Some(tr), Some(ev)) = (&self.tracer, &trace_ev) {
-                        let st = self.slots[slot].as_mut().unwrap();
-                        let ring = st
+                        let ring = self
+                            .rings
+                            .entry(record.node)
+                            .or_default()
                             .flight
                             .get_or_insert_with(|| tr.flight.node(&record.node.to_string()));
                         ring.push(ev);
@@ -612,8 +638,10 @@ impl BatchDetector {
                         }
                     }
                     if let Some(tap) = &self.capture {
-                        let st = self.slots[slot].as_mut().unwrap();
-                        let ring = st
+                        let ring = self
+                            .rings
+                            .entry(record.node)
+                            .or_default()
                             .capture
                             .get_or_insert_with(|| tap.node(&record.node.to_string()));
                         ring.push(CapsuleEvent {
@@ -641,17 +669,16 @@ impl BatchDetector {
                     }
                 }
                 Deferred::Silent {
-                    slot,
                     rec,
                     phrase,
                     episode_reset,
                 } => {
                     if let Some(tap) = &self.capture {
                         let record = &records[rec];
-                        let st = self.slots[slot]
-                            .as_mut()
-                            .expect("deferred slot is occupied");
-                        let ring = st
+                        let ring = self
+                            .rings
+                            .entry(record.node)
+                            .or_default()
                             .capture
                             .get_or_insert_with(|| tap.node(&record.node.to_string()));
                         ring.push(CapsuleEvent {
@@ -709,6 +736,10 @@ mod tests {
             assert_eq!(x.class, y.class);
             assert_eq!(x.evidence, y.evidence);
             assert_eq!(x.matched_chain, y.matched_chain);
+            assert_eq!(
+                x.chain_distance.map(f64::to_bits),
+                y.chain_distance.map(f64::to_bits)
+            );
         }
     }
 
@@ -826,14 +857,17 @@ mod tests {
     fn slot_pressure_evicts_lru_and_stays_sound() {
         let (trained, cfg, test) = fixture(404);
         // 24 active nodes forced through 4 slots: correctness degrades
-        // gracefully (evictions drop idle context, like a session gap)
-        // but nothing panics, occupancy accounting holds, and the
-        // detector keeps scoring.
-        let mut bat = BatchDetector::new(
+        // gracefully (evictions drop context, like a session gap) but
+        // nothing panics, occupancy accounting holds, the detector keeps
+        // scoring, and every eviction that dropped a live episode is
+        // counted.
+        let t = Telemetry::enabled();
+        let mut bat = BatchDetector::with_telemetry(
             trained.lead_model.clone(),
             trained.parsed_train.vocab.clone(),
             cfg,
             4,
+            &t,
         );
         let mut warnings = Vec::new();
         for c in test.records.chunks(31) {
@@ -841,6 +875,13 @@ mod tests {
             assert!(bat.resident_nodes() <= 4);
         }
         assert!(bat.evicted_nodes() > 0, "no slot-pressure evictions");
+        assert!(bat.evicted_live() > 0, "no eviction dropped a live episode");
+        assert!(bat.evicted_live() <= bat.evicted_nodes());
+        let snap = t.snapshot().unwrap();
+        assert_eq!(
+            snap.counter("ingest.evicted_live"),
+            Some(bat.evicted_live())
+        );
         assert!(bat.events_seen() > 0);
         let direct: u64 = bat
             .slots
@@ -878,6 +919,11 @@ mod tests {
         }
         assert_same_warnings(&a, &b);
         assert!(sweeping.evicted_nodes() > 0, "sweeper never evicted");
+        assert_eq!(
+            sweeping.evicted_live(),
+            0,
+            "a TTL of one gap dropped a live episode"
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use crate::batch::BatchDetector;
 use crate::online::Warning;
 use crate::router::shard_of;
-use desh_loggen::LogRecord;
+use desh_loggen::{DayClock, LogRecord};
 use desh_obs::{Counter, Gauge, LatencyHistogram, Telemetry};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
@@ -123,6 +123,9 @@ struct Inner {
     stats: Vec<ShardStats>,
     metrics: Option<Vec<ShardMetrics>>,
     parse_errors: AtomicU64,
+    /// Day reconstruction for lines pushed through
+    /// [`IntakeServer::push_line`] (each TCP connection keeps its own).
+    line_clock: Mutex<DayClock>,
     shutdown: AtomicBool,
 }
 
@@ -171,6 +174,7 @@ impl IntakeServer {
             stats: (0..shards).map(|_| ShardStats::default()).collect(),
             metrics,
             parse_errors: AtomicU64::new(0),
+            line_clock: Mutex::new(DayClock::new()),
             shutdown: AtomicBool::new(false),
         });
         let workers = detectors
@@ -225,9 +229,17 @@ impl IntakeServer {
     }
 
     /// Parse one raw log line and route it. Unparseable lines are counted
-    /// and reported, never enqueued.
+    /// and reported, never enqueued. Lines pushed here form one stream
+    /// whose 24 h clock is re-sequenced into absolute times (a backward
+    /// clock step starts a new day), as `read_log_file` does.
     pub fn push_line(&self, line: &str) -> Result<(), String> {
-        match line.parse::<LogRecord>() {
+        let parsed = self
+            .inner
+            .line_clock
+            .lock()
+            .expect("no thread panics while holding the line clock")
+            .parse(line);
+        match parsed {
             Ok(r) => {
                 self.push_record(r);
                 Ok(())
@@ -364,13 +376,16 @@ impl Drop for IntakeServer {
 const CONN_FLUSH_EVERY: usize = 64;
 
 /// One TCP connection: buffered line reads, timeouts polled against the
-/// shutdown flag so `stop()` never hangs on an idle client. Parsed
+/// shutdown flag so `stop()` never hangs on an idle client. Each
+/// connection is one ordered stream with its own [`DayClock`], so lines
+/// past 24:00 keep absolute times before they are routed. Parsed
 /// records batch into per-shard groups and flush every
 /// [`CONN_FLUSH_EVERY`] records — and on every read stall/EOF, so a
 /// quiet line still reaches its detector promptly.
 fn conn_loop(stream: std::net::TcpStream, inner: Arc<Inner>, shards: usize) {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
+    let mut clock = DayClock::new();
     let mut groups: Vec<Vec<LogRecord>> = (0..shards).map(|_| Vec::new()).collect();
     let mut pending = 0usize;
     let flush = |groups: &mut Vec<Vec<LogRecord>>, pending: &mut usize| {
@@ -397,7 +412,7 @@ fn conn_loop(stream: std::net::TcpStream, inner: Arc<Inner>, shards: usize) {
                 if trimmed.is_empty() {
                     continue;
                 }
-                match trimmed.parse::<LogRecord>() {
+                match clock.parse(trimmed) {
                     Ok(r) => {
                         groups[shard_of(r.node, shards)].push(r);
                         pending += 1;

@@ -42,7 +42,7 @@ pub use classes::{classify_chain, classify_templates};
 pub use config::{DeshConfig, EpisodeConfig, Phase1Config, Phase2Config, Phase3Config};
 pub use crossval::{stability_run, StabilityReport};
 pub use episode::{extract_episodes, Episode};
-pub use explain::{dtw_distance, explain_episode, nearest_chain, Explanation};
+pub use explain::{dtw_distance, explain_episode, nearest_chain, DtwScratch, Explanation, Sample};
 pub use intake::{Backpressure, IntakeConfig, IntakeServer};
 pub use leadtime::{
     lead_by_class, lead_overall, observation4, recall_by_class, sensitivity_sweep, SweepPoint,

@@ -26,9 +26,9 @@
 use crate::chain::FailureChain;
 use crate::classes::classify_templates;
 use crate::config::DeshConfig;
-use crate::explain::nearest_chain;
-use crate::phase2::{chain_to_vectors, LeadStream, LeadTimeModel};
-use desh_loggen::{FailureClass, Label, LogRecord, NodeId};
+use crate::explain::ChainMatcher;
+use crate::phase2::{LeadStream, LeadTimeModel};
+use desh_loggen::{DayClock, FailureClass, Label, LogRecord, NodeId};
 use desh_logparse::{extract_template, is_failure_terminal, label_template, Vocab};
 use desh_obs::{
     ActiveWaterfall, CapsuleEvent, CaptureTap, Counter, FlightRecorder, Gauge, LatencyHistogram,
@@ -165,9 +165,9 @@ pub struct OnlineDetector {
     metrics: Option<OnlineMetrics>,
     /// Decision-trace sinks; `None` (default) keeps the hot path trace-free.
     tracer: Option<Tracer>,
-    /// Trained chains pre-encoded with [`chain_to_vectors`], for naming the
-    /// matched chain in warnings. Empty when no chains were attached.
-    chains: Vec<Vec<Vec<f32>>>,
+    /// Trained chains, pre-encoded, for naming the matched chain in
+    /// warnings. Empty when no chains were attached.
+    chains: ChainMatcher,
     /// Vocabulary size at construction: any later-interned phrase id is a
     /// template the model never trained on (the drift signal).
     train_vocab: u32,
@@ -190,6 +190,8 @@ pub struct OnlineDetector {
     /// warning scores), when the event was scored and
     /// `observe_scores` is on.
     last_score: Option<f64>,
+    /// Day reconstruction for [`OnlineDetector::ingest_line`]'s stream.
+    day_clock: DayClock,
 }
 
 /// Stage indices for the online serving waterfall, in pipeline order.
@@ -254,13 +256,14 @@ impl OnlineDetector {
             evicted_nodes: 0,
             metrics,
             tracer: None,
-            chains: Vec::new(),
+            chains: ChainMatcher::default(),
             train_vocab,
             quality: QualityMonitor::new(telemetry),
             profiler: None,
             capture: None,
             observe_scores: false,
             last_score: None,
+            day_clock: DayClock::new(),
         }
     }
 
@@ -310,13 +313,10 @@ impl OnlineDetector {
 
     /// Attach the trained failure chains so warnings can name the nearest
     /// chain (index into `chains` + DTW distance). Chains are encoded once
-    /// here; the per-warning cost is one DTW pass per chain, paid only
-    /// when a warning actually fires.
+    /// here; the per-warning cost is at most one DTW pass per chain, paid
+    /// only when a warning actually fires.
     pub fn attach_chains(&mut self, chains: &[FailureChain]) {
-        self.chains = chains
-            .iter()
-            .map(|c| chain_to_vectors(c, self.model.dt_scale, self.model.vocab_size))
-            .collect();
+        self.chains = ChainMatcher::new(chains, &self.model);
     }
 
     /// Publish per-event decision scores through
@@ -408,11 +408,13 @@ impl OnlineDetector {
     /// Ingest one raw text line. Returns a warning if this line completed
     /// a recognisable failure-chain prefix; `None` for benign/ignored
     /// lines; `Err` for unparseable lines (which a deployment would count
-    /// and skip). This is the surface whose waterfall includes the
-    /// `parse` stage; [`OnlineDetector::ingest`] starts at `template`.
+    /// and skip). Successive lines form one stream whose 24 h clock is
+    /// re-sequenced into absolute times, as `read_log_file` does. This is
+    /// the surface whose waterfall includes the `parse` stage;
+    /// [`OnlineDetector::ingest`] starts at `template`.
     pub fn ingest_line(&mut self, line: &str) -> Result<Option<Warning>, String> {
         let mut wf = self.profiler.as_ref().and_then(|p| p.begin());
-        let record: LogRecord = line.parse().map_err(|e| format!("{e}"))?;
+        let record = self.day_clock.parse(line).map_err(|e| format!("{e}"))?;
         if let Some(w) = wf.as_mut() {
             w.mark(STAGE_PARSE);
         }
@@ -546,7 +548,7 @@ impl OnlineDetector {
             &self.model,
             &self.cfg,
             &self.vocab,
-            &self.chains,
+            &mut self.chains,
             state,
             record,
         );
@@ -679,7 +681,7 @@ impl OnlineDetector {
         model: &LeadTimeModel,
         cfg: &DeshConfig,
         vocab: &Vocab,
-        chains: &[Vec<Vec<f32>>],
+        chains: &mut ChainMatcher,
         state: &NodeState,
         record: &LogRecord,
     ) -> Option<Warning> {
@@ -715,7 +717,7 @@ pub(crate) fn evaluate_stream(
     model: &LeadTimeModel,
     cfg: &DeshConfig,
     vocab: &Vocab,
-    chains: &[Vec<Vec<f32>>],
+    chains: &mut ChainMatcher,
     events: &[(Micros, u32)],
     transitions: usize,
     mean_raw: Option<f64>,
@@ -749,10 +751,9 @@ pub(crate) fn evaluate_stream(
         .map(|&(_, p)| vocab.text(p).unwrap_or_default())
         .collect();
     let class = classify_templates(evidence.iter().cloned());
-    // The episode is already encoded in the batch ΔT form `seq`; the
-    // DTW retrieval against the attached chains reuses it. Paid only
-    // on the (rare) warning path.
-    let (matched_chain, chain_distance) = match nearest_chain(&seq, chains) {
+    // DTW retrieval against the attached chains, over the same countdown
+    // ΔT as `seq` in compact form. Paid only on the warning path.
+    let (matched_chain, chain_distance) = match chains.nearest(events) {
         Some((i, d)) => (Some(i), Some(d)),
         None => (None, None),
     };

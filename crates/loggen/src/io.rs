@@ -8,7 +8,7 @@
 
 use crate::generator::{Dataset, GroundTruthFailure};
 use crate::nodeid::NodeId;
-use crate::record::LogRecord;
+use crate::record::{DayClock, LogRecord};
 use crate::scenario::FailureClass;
 use desh_util::Micros;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -44,18 +44,16 @@ pub fn write_truth_file(path: &Path, failures: &[GroundTruthFailure]) -> std::io
 /// separately — a reader must not abort on a corrupt line.
 ///
 /// The clock column wraps at 24 h (syslogs carry no date), so for datasets
-/// longer than a day the absolute offset is reconstructed monotonically:
-/// whenever the wall clock runs backwards relative to the previous line,
-/// a day boundary was crossed. This is exact for the sorted streams
-/// [`write_log_file`] produces.
+/// longer than a day the absolute offset is reconstructed by a
+/// [`DayClock`]: whenever the wall clock runs backwards relative to the
+/// previous line, a day boundary was crossed. This is exact for the sorted
+/// streams [`write_log_file`] produces.
 pub fn read_log_file(path: &Path) -> std::io::Result<(Vec<LogRecord>, Vec<String>)> {
-    let reader = BufReader::new(std::fs::File::open(path)?);
+    let mut reader = BufReader::new(std::fs::File::open(path)?);
     let mut records: Vec<LogRecord> = Vec::new();
     let mut bad = Vec::new();
     let mut line = String::new();
-    let mut reader = reader;
-    let mut day_offset: u64 = 0;
-    let mut prev_clock: Option<u64> = None;
+    let mut clock = DayClock::new();
     loop {
         line.clear();
         if reader.read_line(&mut line)? == 0 {
@@ -65,18 +63,8 @@ pub fn read_log_file(path: &Path) -> std::io::Result<(Vec<LogRecord>, Vec<String
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        match trimmed.parse::<LogRecord>() {
-            Ok(mut r) => {
-                let clock = r.time.0; // parse_clock is always < 1 day
-                if let Some(prev) = prev_clock {
-                    if clock < prev {
-                        day_offset += desh_util::time::MICROS_PER_DAY;
-                    }
-                }
-                prev_clock = Some(clock);
-                r.time = Micros(clock + day_offset);
-                records.push(r);
-            }
+        match clock.parse(trimmed) {
+            Ok(r) => records.push(r),
             Err(_) => bad.push(trimmed.to_string()),
         }
     }

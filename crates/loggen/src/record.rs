@@ -6,6 +6,7 @@
 //! from unstructured text, not from the generator's internal structures.
 
 use crate::nodeid::NodeId;
+use desh_util::time::MICROS_PER_DAY;
 use desh_util::Micros;
 use std::fmt;
 use std::str::FromStr;
@@ -55,8 +56,8 @@ impl FromStr for LogRecord {
     type Err = ParseRecordError;
 
     /// Parse a raw line back into a record. Note the clock wraps at 24h, so
-    /// multi-day datasets must be re-sequenced by the caller; the generator
-    /// keeps native `Micros` alongside raw lines to avoid ambiguity.
+    /// the time is the clock of day; [`DayClock`] re-sequences a stream of
+    /// lines into absolute times.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let err = || ParseRecordError(s.to_string());
         let mut parts = s.splitn(3, ' ');
@@ -67,6 +68,39 @@ impl FromStr for LogRecord {
             return Err(err());
         }
         Ok(LogRecord { time, node, text })
+    }
+}
+
+/// Reconstructs absolute times from raw lines, whose clock column wraps
+/// at 24 h (syslogs carry no date): whenever the clock runs backwards
+/// relative to the previous line, a day boundary was crossed. Exact for
+/// time-sorted streams, such as those [`crate::io::write_log_file`]
+/// writes. Keep one per ordered stream — a file, a connection — starting
+/// at day 0.
+#[derive(Debug, Clone, Default)]
+pub struct DayClock {
+    day_offset: u64,
+    prev: Option<u64>,
+}
+
+impl DayClock {
+    /// A clock at day 0 that has seen no line yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Parse the next raw line and give it its absolute time. A line that
+    /// does not parse leaves the clock as it was.
+    pub fn parse(&mut self, line: &str) -> Result<LogRecord, ParseRecordError> {
+        let mut r: LogRecord = line.parse()?;
+        let clock = r.time.0;
+        if self.prev.is_some_and(|prev| clock < prev) {
+            // Saturating: a peer can send any number of backward steps.
+            self.day_offset = self.day_offset.saturating_add(MICROS_PER_DAY);
+        }
+        self.prev = Some(clock);
+        r.time = Micros(clock.saturating_add(self.day_offset));
+        Ok(r)
     }
 }
 
@@ -99,6 +133,31 @@ mod tests {
         ] {
             assert!(bad.parse::<LogRecord>().is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn day_clock_advances_a_day_on_every_backward_step() {
+        let mut clock = DayClock::new();
+        let at = |line: &str, c: &mut DayClock| c.parse(line).unwrap().time;
+        assert_eq!(
+            at("23:59:59.000000 c0-0c0s0n0 a", &mut clock),
+            Micros::from_secs(86_399)
+        );
+        // A corrupt line neither parses nor moves the clock.
+        assert!(clock.parse("00:00:01.000000 garbage").is_err());
+        assert_eq!(
+            at("00:00:01.000000 c0-0c0s0n0 b", &mut clock),
+            Micros::from_secs(86_401)
+        );
+        // Equal clocks stay on the same day.
+        assert_eq!(
+            at("00:00:01.000000 c0-0c0s0n1 c", &mut clock),
+            Micros::from_secs(86_401)
+        );
+        assert_eq!(
+            at("00:00:00.500000 c0-0c0s0n0 d", &mut clock),
+            Micros::from_secs(2 * 86_400) + Micros(500_000)
+        );
     }
 
     #[test]

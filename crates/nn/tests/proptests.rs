@@ -8,7 +8,9 @@ use proptest::prelude::*;
 use std::sync::Mutex;
 
 /// The kernel backend is process-global; tests that pin it must not
-/// interleave with each other (the test binary is multi-threaded).
+/// interleave with each other (the test binary is multi-threaded), nor
+/// with tests that compare the bits of two computations, which a backend
+/// switch between them would split across kernels.
 static BACKEND_LOCK: Mutex<()> = Mutex::new(());
 
 fn finite_f32() -> impl Strategy<Value = f32> {
@@ -107,6 +109,7 @@ proptest! {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let a = random_mat(m, k, &mut rng);
         let b = random_mat(k, n, &mut rng);
+        let _pinned = BACKEND_LOCK.lock().unwrap();
         let want = a.matmul(&b);
         let mut out = Mat::zeros(0, 0);
         a.matmul_into(&b, &mut out);
@@ -197,6 +200,7 @@ proptest! {
         let m = TokenLstm::new(vocab, embed, hidden, layers, &mut rng);
         let m2 = TokenLstm::from_bytes(m.to_bytes()).unwrap();
         let ctx: Vec<u32> = (0..4).map(|i| (i % vocab) as u32).collect();
+        let _pinned = BACKEND_LOCK.lock().unwrap();
         prop_assert_eq!(m.predict_probs(&ctx), m2.predict_probs(&ctx));
     }
 
@@ -212,6 +216,7 @@ proptest! {
         let m2 = VectorLstm::from_bytes(m.to_bytes()).unwrap();
         let sample: Vec<f32> = (0..dim).map(|i| i as f32 * 0.1).collect();
         let w: Vec<&[f32]> = vec![&sample];
+        let _pinned = BACKEND_LOCK.lock().unwrap();
         prop_assert_eq!(m.predict_next(&w, 5), m2.predict_next(&w, 5));
     }
 
