@@ -24,6 +24,14 @@
 //! enqueue → worker drain) render on `/metrics` with proper Prometheus
 //! labels; wave occupancy lands in the shared `ingest.batch_size`
 //! histogram.
+//!
+//! Nothing a TCP peer sends can grow intake memory or vanish uncounted:
+//! a line longer than [`MAX_LINE_BYTES`], a line that is not UTF-8 and a
+//! line that does not parse are each skipped to the next newline and
+//! counted by reason (`ingest.rejected[reason=R]`), with the connection
+//! kept open; at most [`MAX_CONNECTIONS`] connections are served at once,
+//! and each one refused past that is counted
+//! (`ingest.refused_connections`).
 
 use crate::batch::BatchDetector;
 use crate::online::Warning;
@@ -31,7 +39,7 @@ use crate::router::shard_of;
 use desh_loggen::{DayClock, LogRecord};
 use desh_obs::{Counter, Gauge, LatencyHistogram, Telemetry};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -46,6 +54,41 @@ pub enum Backpressure {
     /// Drop the oldest queued record to admit the new one (bounded
     /// latency, counted loss).
     DropOldest,
+}
+
+/// Longest line a connection may send, newline excluded. A longer line
+/// is skipped to its newline and rejected, never buffered whole.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Most TCP connections served at once. The acceptor closes each
+/// connection past it right away and counts the refusal.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// Why a raw line was rejected instead of enqueued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RejectReason {
+    /// Not a log line the parser accepts.
+    Unparseable,
+    /// Longer than [`MAX_LINE_BYTES`].
+    Oversize,
+    /// Not valid UTF-8.
+    NotUtf8,
+}
+
+impl RejectReason {
+    const ALL: [RejectReason; 3] = [
+        RejectReason::Unparseable,
+        RejectReason::Oversize,
+        RejectReason::NotUtf8,
+    ];
+
+    fn label(self) -> &'static str {
+        match self {
+            RejectReason::Unparseable => "unparseable",
+            RejectReason::Oversize => "oversize",
+            RejectReason::NotUtf8 => "not_utf8",
+        }
+    }
 }
 
 /// Intake tuning knobs.
@@ -115,6 +158,15 @@ struct ShardMetrics {
     queue_wait: Arc<LatencyHistogram>,
 }
 
+/// Pre-resolved intake-wide metric handles.
+#[derive(Debug)]
+struct IntakeMetrics {
+    /// `ingest.rejected[reason=R]`, indexed like [`RejectReason::ALL`].
+    rejected: [Arc<Counter>; 3],
+    /// `ingest.refused_connections`.
+    refused: Arc<Counter>,
+}
+
 #[derive(Debug)]
 struct Inner {
     queues: Vec<ShardQueue>,
@@ -122,11 +174,31 @@ struct Inner {
     warnings: Mutex<Vec<Warning>>,
     stats: Vec<ShardStats>,
     metrics: Option<Vec<ShardMetrics>>,
-    parse_errors: AtomicU64,
+    intake_metrics: Option<IntakeMetrics>,
+    /// Rejected lines, indexed like [`RejectReason::ALL`].
+    rejected: [AtomicU64; 3],
+    /// Connections closed at accept because [`MAX_CONNECTIONS`] were open.
+    refused: AtomicU64,
     /// Day reconstruction for lines pushed through
     /// [`IntakeServer::push_line`] (each TCP connection keeps its own).
     line_clock: Mutex<DayClock>,
     shutdown: AtomicBool,
+}
+
+impl Inner {
+    fn reject(&self, reason: RejectReason) {
+        self.rejected[reason as usize].fetch_add(1, Ordering::Relaxed);
+        if let Some(m) = &self.intake_metrics {
+            m.rejected[reason as usize].inc();
+        }
+    }
+
+    fn refuse(&self) {
+        self.refused.fetch_add(1, Ordering::Relaxed);
+        if let Some(m) = &self.intake_metrics {
+            m.refused.inc();
+        }
+    }
 }
 
 /// The sharded streaming intake. See the module docs for the design.
@@ -173,7 +245,13 @@ impl IntakeServer {
             warnings: Mutex::new(Vec::new()),
             stats: (0..shards).map(|_| ShardStats::default()).collect(),
             metrics,
-            parse_errors: AtomicU64::new(0),
+            intake_metrics: telemetry.registry().map(|r| IntakeMetrics {
+                rejected: RejectReason::ALL
+                    .map(|why| r.counter(&format!("ingest.rejected[reason={}]", why.label()))),
+                refused: r.counter("ingest.refused_connections"),
+            }),
+            rejected: Default::default(),
+            refused: AtomicU64::new(0),
             line_clock: Mutex::new(DayClock::new()),
             shutdown: AtomicBool::new(false),
         });
@@ -245,15 +323,16 @@ impl IntakeServer {
                 Ok(())
             }
             Err(e) => {
-                self.inner.parse_errors.fetch_add(1, Ordering::Relaxed);
+                self.inner.reject(RejectReason::Unparseable);
                 Err(format!("{e}"))
             }
         }
     }
 
-    /// Serve raw log lines over TCP: one record per line, any number of
-    /// concurrent connections. The listener is polled so `stop()` can
-    /// shut the acceptor down promptly.
+    /// Serve raw log lines over TCP: one record per line, up to
+    /// [`MAX_CONNECTIONS`] concurrent connections. The listener is polled
+    /// so `stop()` can shut the acceptor down promptly, and finished
+    /// connection threads are joined on every pass.
     pub fn serve_tcp(&mut self, listener: TcpListener) -> std::io::Result<()> {
         listener.set_nonblocking(true)?;
         let inner = Arc::clone(&self.inner);
@@ -263,7 +342,21 @@ impl IntakeServer {
             .spawn(move || {
                 let mut conns: Vec<JoinHandle<()>> = Vec::new();
                 while !inner.shutdown.load(Ordering::Acquire) {
+                    let mut i = 0;
+                    while i < conns.len() {
+                        if conns[i].is_finished() {
+                            conns.swap_remove(i).join().ok();
+                        } else {
+                            i += 1;
+                        }
+                    }
                     match listener.accept() {
+                        Ok((stream, _peer)) if conns.len() >= MAX_CONNECTIONS => {
+                            // Counted before the close, so a peer that
+                            // sees it already finds the count.
+                            inner.refuse();
+                            drop(stream);
+                        }
                         Ok((stream, _peer)) => {
                             stream
                                 .set_read_timeout(Some(Duration::from_millis(100)))
@@ -326,9 +419,22 @@ impl IntakeServer {
             .sum()
     }
 
-    /// Unparseable lines rejected so far.
+    /// Lines rejected so far, for every [`RejectReason`].
     pub fn parse_errors(&self) -> u64 {
-        self.inner.parse_errors.load(Ordering::Relaxed)
+        RejectReason::ALL
+            .iter()
+            .map(|&why| self.rejected(why))
+            .sum()
+    }
+
+    /// Lines rejected so far for one reason.
+    pub fn rejected(&self, reason: RejectReason) -> u64 {
+        self.inner.rejected[reason as usize].load(Ordering::Relaxed)
+    }
+
+    /// Connections refused so far because [`MAX_CONNECTIONS`] were open.
+    pub fn connections_refused(&self) -> u64 {
+        self.inner.refused.load(Ordering::Relaxed)
     }
 
     /// Shut down: stop accepting, let workers drain their queues, and
@@ -375,16 +481,66 @@ impl Drop for IntakeServer {
 /// slow trickle can see while keeping lock traffic amortized.
 const CONN_FLUSH_EVERY: usize = 64;
 
-/// One TCP connection: buffered line reads, timeouts polled against the
-/// shutdown flag so `stop()` never hangs on an idle client. Each
-/// connection is one ordered stream with its own [`DayClock`], so lines
-/// past 24:00 keep absolute times before they are routed. Parsed
+/// What [`read_bounded_line`] found.
+#[derive(Debug, PartialEq, Eq)]
+enum ReadLine {
+    /// A whole line is in the buffer, newline excluded.
+    Line,
+    /// A line longer than [`MAX_LINE_BYTES`] was read and discarded.
+    Oversize,
+    /// The peer closed the stream.
+    Eof,
+}
+
+/// Read up to the next newline into `buf`, holding at most
+/// [`MAX_LINE_BYTES`] of it: past the cap the bytes read are dropped and
+/// the rest of the line is skipped (`skipping` carries that across
+/// calls). On a read timeout the error returns with the partial line
+/// kept in `buf` and `skipping`, so calling again resumes the line. At
+/// EOF a last line without a newline still counts as a line.
+fn read_bounded_line(
+    r: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    skipping: &mut bool,
+) -> io::Result<ReadLine> {
+    loop {
+        if buf.len() > MAX_LINE_BYTES {
+            buf.clear();
+            *skipping = true;
+        }
+        let limit = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
+        let n = r.by_ref().take(limit).read_until(b'\n', buf)?;
+        let ended = buf.last() == Some(&b'\n');
+        if ended {
+            buf.pop();
+        }
+        if ended || n == 0 {
+            if std::mem::take(skipping) {
+                buf.clear();
+                return Ok(ReadLine::Oversize);
+            }
+            return Ok(if ended || !buf.is_empty() {
+                ReadLine::Line
+            } else {
+                ReadLine::Eof
+            });
+        }
+    }
+}
+
+/// One TCP connection: bounded line reads ([`read_bounded_line`]),
+/// timeouts polled against the shutdown flag so `stop()` never hangs on
+/// an idle client. Each connection is one ordered stream with its own
+/// [`DayClock`], so lines past 24:00 keep absolute times before they are
+/// routed. Lines that are too long, not UTF-8 or unparseable are counted
+/// by [`RejectReason`] and skipped; the connection stays open. Parsed
 /// records batch into per-shard groups and flush every
 /// [`CONN_FLUSH_EVERY`] records — and on every read stall/EOF, so a
 /// quiet line still reaches its detector promptly.
 fn conn_loop(stream: std::net::TcpStream, inner: Arc<Inner>, shards: usize) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
+    let mut skipping = false;
     let mut clock = DayClock::new();
     let mut groups: Vec<Vec<LogRecord>> = (0..shards).map(|_| Vec::new()).collect();
     let mut pending = 0usize;
@@ -401,29 +557,32 @@ fn conn_loop(stream: std::net::TcpStream, inner: Arc<Inner>, shards: usize) {
             flush(&mut groups, &mut pending);
             return;
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => {
+        match read_bounded_line(&mut reader, &mut line, &mut skipping) {
+            Ok(ReadLine::Eof) => {
                 flush(&mut groups, &mut pending);
-                return; // EOF
+                return;
             }
-            Ok(_) => {
-                let trimmed = line.trim_end_matches(['\r', '\n']);
-                if trimmed.is_empty() {
-                    continue;
-                }
-                match clock.parse(trimmed) {
-                    Ok(r) => {
-                        groups[shard_of(r.node, shards)].push(r);
-                        pending += 1;
-                        if pending >= CONN_FLUSH_EVERY {
-                            flush(&mut groups, &mut pending);
+            Ok(ReadLine::Oversize) => inner.reject(RejectReason::Oversize),
+            Ok(ReadLine::Line) => {
+                match std::str::from_utf8(&line) {
+                    Err(_) => inner.reject(RejectReason::NotUtf8),
+                    Ok(text) => {
+                        let trimmed = text.trim_end_matches('\r');
+                        if !trimmed.is_empty() {
+                            match clock.parse(trimmed) {
+                                Ok(r) => {
+                                    groups[shard_of(r.node, shards)].push(r);
+                                    pending += 1;
+                                    if pending >= CONN_FLUSH_EVERY {
+                                        flush(&mut groups, &mut pending);
+                                    }
+                                }
+                                Err(_) => inner.reject(RejectReason::Unparseable),
+                            }
                         }
                     }
-                    Err(_) => {
-                        inner.parse_errors.fetch_add(1, Ordering::Relaxed);
-                    }
                 }
+                line.clear();
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -749,6 +908,150 @@ mod tests {
         server.drain();
         assert_eq!(server.records_processed(), n as u64);
         assert_eq!(server.parse_errors(), 1);
+        server.stop();
+    }
+
+    #[test]
+    fn bounded_reads_cap_lines_without_buffering_them() {
+        let mut input = b"abc\r\n".to_vec();
+        input.extend(vec![b'x'; MAX_LINE_BYTES]);
+        input.push(b'\n');
+        input.extend(vec![b'y'; 3 * MAX_LINE_BYTES + 1]);
+        input.push(b'\n');
+        input.extend(b"tail");
+        let mut r = BufReader::with_capacity(4096, input.as_slice());
+        let (mut buf, mut skipping) = (Vec::new(), false);
+        let mut next = |buf: &mut Vec<u8>| {
+            buf.clear();
+            read_bounded_line(&mut r, buf, &mut skipping).unwrap()
+        };
+        assert_eq!(next(&mut buf), ReadLine::Line);
+        assert_eq!(buf, b"abc\r");
+        assert_eq!(next(&mut buf), ReadLine::Line, "a line at the cap is kept");
+        assert_eq!(buf.len(), MAX_LINE_BYTES);
+        assert_eq!(next(&mut buf), ReadLine::Oversize);
+        assert!(
+            buf.capacity() <= 2 * MAX_LINE_BYTES,
+            "oversize line was buffered"
+        );
+        assert_eq!(next(&mut buf), ReadLine::Line, "last line without newline");
+        assert_eq!(buf, b"tail");
+        assert_eq!(next(&mut buf), ReadLine::Eof);
+    }
+
+    /// Poll until `done` holds, failing after 30 s.
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let t0 = Instant::now();
+        while !done() {
+            assert!(t0.elapsed() < Duration::from_secs(30), "timed out: {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn tcp_server(
+        t: &crate::pipeline::TrainedDesh,
+        cfg: &DeshConfig,
+    ) -> (IntakeServer, std::net::SocketAddr) {
+        let telemetry = Telemetry::disabled();
+        let mut server = IntakeServer::start(
+            shard_detectors(t, cfg, 2, &telemetry),
+            IntakeConfig::default(),
+            &telemetry,
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        server.serve_tcp(listener).unwrap();
+        (server, addr)
+    }
+
+    #[test]
+    fn tcp_rejects_bad_lines_by_reason_and_keeps_the_connection() {
+        let (t, cfg, test) = trained(505);
+        let (server, addr) = tcp_server(&t, &cfg);
+        let lines: Vec<String> = test
+            .records
+            .iter()
+            .take(200)
+            .map(|r| r.to_raw_line())
+            .collect();
+        let mut payload = Vec::new();
+        for l in &lines[..100] {
+            payload.extend(l.as_bytes());
+            payload.push(b'\n');
+        }
+        payload.extend(vec![b'z'; 1 << 20]);
+        payload.push(b'\n');
+        let mut bad = lines[0].clone().into_bytes();
+        bad.insert(3, 0xFF);
+        payload.extend(bad);
+        payload.push(b'\n');
+        payload.extend(b"not a log line\n");
+        for l in &lines[100..] {
+            payload.extend(l.as_bytes());
+            payload.push(b'\n');
+        }
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        conn.write_all(&payload).unwrap();
+        conn.flush().unwrap();
+        drop(conn);
+
+        let sent = lines.len() as u64 + 3;
+        wait_for("every line accounted for", || {
+            server.records_processed() + server.parse_errors() == sent
+        });
+        assert_eq!(
+            server.records_processed(),
+            lines.len() as u64,
+            "valid lines lost"
+        );
+        assert_eq!(server.rejected(RejectReason::Oversize), 1);
+        assert_eq!(server.rejected(RejectReason::NotUtf8), 1);
+        assert_eq!(server.rejected(RejectReason::Unparseable), 1);
+        assert_eq!(server.parse_errors(), 3);
+        server.stop();
+    }
+
+    #[test]
+    fn connection_cap_refuses_past_the_cap_and_reaps_finished_connections() {
+        let (t, cfg, test) = trained(506);
+        let line = format!("{}\n", test.records[0].to_raw_line());
+
+        // Twice the cap of short connections, one after another: each
+        // finished connection is reaped, so none is refused.
+        let (server, addr) = tcp_server(&t, &cfg);
+        for k in 1..=2 * MAX_CONNECTIONS as u64 {
+            let mut c = std::net::TcpStream::connect(addr).unwrap();
+            c.write_all(line.as_bytes()).unwrap();
+            drop(c);
+            wait_for("short connection served", || {
+                server.records_processed() == k
+            });
+        }
+        assert_eq!(server.connections_refused(), 0);
+        server.stop();
+
+        // The cap held open, plus one: the extra is closed and counted.
+        let (server, addr) = tcp_server(&t, &cfg);
+        let mut open = Vec::new();
+        for _ in 0..MAX_CONNECTIONS {
+            let mut c = std::net::TcpStream::connect(addr).unwrap();
+            c.write_all(line.as_bytes()).unwrap();
+            open.push(c);
+        }
+        wait_for("every open connection served", || {
+            server.records_processed() == MAX_CONNECTIONS as u64
+        });
+        let mut extra = std::net::TcpStream::connect(addr).unwrap();
+        extra
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        assert!(
+            !matches!(extra.read(&mut byte), Ok(n) if n > 0),
+            "refused connection stayed open"
+        );
+        assert_eq!(server.connections_refused(), 1);
+        drop(open);
         server.stop();
     }
 }

@@ -43,7 +43,9 @@ pub use config::{DeshConfig, EpisodeConfig, Phase1Config, Phase2Config, Phase3Co
 pub use crossval::{stability_run, StabilityReport};
 pub use episode::{extract_episodes, Episode};
 pub use explain::{dtw_distance, explain_episode, nearest_chain, DtwScratch, Explanation, Sample};
-pub use intake::{Backpressure, IntakeConfig, IntakeServer};
+pub use intake::{
+    Backpressure, IntakeConfig, IntakeServer, RejectReason, MAX_CONNECTIONS, MAX_LINE_BYTES,
+};
 pub use leadtime::{
     lead_by_class, lead_overall, observation4, recall_by_class, sensitivity_sweep, SweepPoint,
 };

@@ -151,7 +151,7 @@ pub fn run_phase1_session(
             )
         }
     };
-    if let Some(d) = session.as_deref_mut().and_then(|s| s.diverged().cloned()) {
+    if let Some(d) = session.and_then(|s| s.diverged().cloned()) {
         return Err(d);
     }
 

@@ -67,7 +67,7 @@ impl ScoringNet {
                 .net
                 .params()
                 .iter()
-                .map(|p| p.w.data().len() * std::mem::size_of::<f32>())
+                .map(|p| std::mem::size_of_val(p.w.data()))
                 .sum(),
             ScoringNet::Int8(m) => m.resident_bytes(),
         }
@@ -611,11 +611,13 @@ mod tests {
             }
             // Slots drop in and out of waves: slot s skips ticks where
             // (t + s) % 3 == 0, so gap encodings differ per slot.
-            let rows: Vec<usize> = (0..slots).filter(|s| (t + *s as u64) % 3 != 0).collect();
+            let rows: Vec<usize> = (0..slots)
+                .filter(|s| !(t + *s as u64).is_multiple_of(3))
+                .collect();
             let mut want = Vec::new();
             for &s in &rows {
                 let time = Micros::from_secs_f64(10.0 + t as f64 * 7.5 + s as f64);
-                let phrase = ((t as u32 * 5 + s as u32 * 3) % (vocab + 2)) as u32;
+                let phrase = (t as u32 * 5 + s as u32 * 3) % (vocab + 2);
                 m.batch_stage(&mut lb, s, time, phrase);
                 want.push(m.stream_push(&mut streams[s], time, phrase));
             }
@@ -628,13 +630,13 @@ mod tests {
                     "slot {s} tick {t}"
                 );
             }
-            for s in 0..slots {
+            for (s, stream) in streams.iter().enumerate() {
                 assert_eq!(
                     m.batch_mean(&lb, s).map(f64::to_bits),
-                    m.stream_mean(&streams[s]).map(f64::to_bits),
+                    m.stream_mean(stream).map(f64::to_bits),
                     "slot {s} mean after tick {t}"
                 );
-                assert_eq!(lb.transitions(s), streams[s].transitions());
+                assert_eq!(lb.transitions(s), stream.transitions());
             }
         }
     }

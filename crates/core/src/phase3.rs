@@ -154,7 +154,7 @@ fn score_episode(
     } else {
         scores.iter().sum::<f64>() / scores.len() as f64
     };
-    if let Some(w) = wf.as_deref_mut() {
+    if let Some(w) = wf {
         w.mark(P3_STAGE_THRESHOLD);
     }
     (false, mean, None)

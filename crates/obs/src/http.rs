@@ -446,7 +446,7 @@ fn serve_one(stream: &mut TcpStream, state: &Introspection, started: Instant) ->
                         stream,
                         "404 Not Found",
                         "text/plain; charset=utf-8",
-                        "unknown node\n",
+                        "unknown or evicted node\n",
                     ),
                 }
             } else if let Some(id) = p

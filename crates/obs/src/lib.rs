@@ -36,8 +36,10 @@
 //!   wide event per scored log line and the evidence bundle shipped with
 //!   each fired warning.
 //! - [`FlightRecorder`] / [`NodeFlight`] (`flight`): lock-free per-node
-//!   seqlock rings holding the last ~[`FLIGHT_CAPACITY`] decisions, plus
-//!   [`install_panic_dump`] for post-mortem JSONL dumps.
+//!   seqlock rings holding up to the last [`FLIGHT_CAPACITY`] decisions,
+//!   allocated [`SEGMENT_SLOTS`] slots at a time and capped together at
+//!   [`FLIGHT_BUDGET_BYTES`], plus [`install_panic_dump`] for post-mortem
+//!   JSONL dumps.
 //! - [`HttpServer`] / [`Introspection`] (`http`): a dependency-free
 //!   blocking server exposing `/metrics`, `/healthz`, `/warnings`,
 //!   `/nodes/<id>/flight`, and — when a runs directory is attached —
@@ -107,7 +109,7 @@ pub use capsule::{
 };
 pub use flight::{
     install_panic_dump, panic_dump_jsonl, panic_dump_path, FlightRecorder, NodeFlight,
-    FLIGHT_CAPACITY,
+    FLIGHT_BUDGET_BYTES, FLIGHT_CAPACITY, SEGMENT_SLOTS,
 };
 pub use history::{
     HistorySampler, MetricsHistory, DEFAULT_CAPACITY as HISTORY_CAPACITY,

@@ -118,6 +118,11 @@ fn help_for(base: &str) -> String {
         "ingest.queue_wait_us" => {
             "Per-shard intake queue wait from enqueue to worker drain, microseconds"
         }
+        "ingest.rejected" => "Raw intake lines rejected without enqueueing, per reason",
+        "ingest.refused_connections" => "Intake connections closed at the connection cap",
+        "online.episode_trimmed" => "Oldest episode-buffer events dropped by the episode cap",
+        "obs.flight_bytes" => "Bytes held by per-node flight rings, against their budget",
+        "obs.flight_evicted" => "Flight rings dropped whole to stay within the byte budget",
         _ => "",
     };
     if !curated.is_empty() {

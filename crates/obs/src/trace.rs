@@ -10,8 +10,8 @@
 //! slots with no allocation on the scoring hot path.
 //!
 //! A [`WarningRecord`] is the evidence bundle shipped with one fired
-//! warning: the verdict fields plus the node's flight-recorder contents
-//! at firing time. [`WarningLog`] keeps the most recent records for the
+//! warning: the verdict fields plus the firing episode's events from the
+//! node's flight ring ([`crate::NodeFlight::episode`]). [`WarningLog`] keeps the most recent records for the
 //! `/warnings` introspection endpoint and JSONL dumps.
 
 use std::collections::VecDeque;
@@ -122,7 +122,7 @@ impl TraceEvent {
 }
 
 /// One fired warning plus its supporting evidence: the verdict fields and
-/// the node's flight-recorder trace at firing time.
+/// the decision trace of the episode that fired it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarningRecord {
     /// Node the warning names.
@@ -141,7 +141,8 @@ pub struct WarningRecord {
     pub chain_distance: f64,
     /// Evidence phrase templates, oldest first.
     pub evidence: Vec<String>,
-    /// The node's decision trace at firing time, oldest first.
+    /// The firing episode's decision trace, oldest first: from the
+    /// episode's first scored event to the one that fired.
     pub trace: Vec<TraceEvent>,
 }
 
@@ -224,6 +225,11 @@ impl WarningLog {
     /// Copy of the retained records, oldest first.
     pub fn snapshot(&self) -> Vec<WarningRecord> {
         self.inner.lock().unwrap().iter().cloned().collect()
+    }
+
+    /// Copy of the most recent record only.
+    pub fn newest(&self) -> Option<WarningRecord> {
+        self.inner.lock().unwrap().back().cloned()
     }
 
     /// Render every retained record as a JSON array (for `/warnings`).
@@ -335,6 +341,12 @@ mod tests {
         assert_eq!(log.len(), 2);
         let snap = log.snapshot();
         assert_eq!(snap[0].node, "n1", "oldest record evicted");
+        assert_eq!(
+            log.newest().as_ref(),
+            snap.last(),
+            "newest is the last pushed"
+        );
+        assert!(WarningLog::new(2).newest().is_none());
         let arr = log.to_json_array();
         assert!(arr.starts_with('[') && arr.ends_with(']'));
         assert!(arr.contains("\"a \\\"quoted\\\" phrase\""));

@@ -692,7 +692,7 @@ fn cmd_predict(opts: &Flags) -> Result<(), String> {
         None
     };
     let trace = if tracing {
-        let flight = Arc::new(FlightRecorder::new());
+        let flight = Arc::new(FlightRecorder::with_telemetry(&telemetry));
         let warning_log = Arc::new(WarningLog::new(WARNING_LOG_CAP));
         detector.attach_tracing(Arc::clone(&flight), Arc::clone(&warning_log));
         Some((flight, warning_log))
@@ -819,7 +819,7 @@ fn cmd_predict(opts: &Flags) -> Result<(), String> {
                 sink.flush().map_err(|e| e.to_string())?;
             }
             if let (Some(f), Some((_, warning_log))) = (warn_file.as_mut(), &trace) {
-                if let Some(rec) = warning_log.snapshot().last() {
+                if let Some(rec) = warning_log.newest() {
                     writeln!(f, "{}", rec.to_json()).map_err(|e| e.to_string())?;
                     f.flush().map_err(|e| e.to_string())?;
                 }
@@ -987,7 +987,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     };
 
     let cfg = DeshConfig::default();
-    let flight = Arc::new(FlightRecorder::new());
+    let flight = Arc::new(FlightRecorder::with_telemetry(&telemetry));
     let warning_log = Arc::new(WarningLog::new(WARNING_LOG_CAP));
     let detectors: Vec<BatchDetector> = (0..shards)
         .map(|_| {
