@@ -122,7 +122,7 @@ fn cpu_time_s() -> Option<f64> {
     // SAFETY: clock_gettime only writes the timespec it is handed, and
     // the struct layout matches the 64-bit Linux ABI.
     let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
-    (rc == 0).then(|| ts.sec as f64 + ts.nsec as f64 * 1e-9)
+    (rc == 0).then_some(ts.sec as f64 + ts.nsec as f64 * 1e-9)
 }
 
 #[cfg(not(target_os = "linux"))]

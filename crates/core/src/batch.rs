@@ -46,6 +46,7 @@ use desh_obs::{
     CapsuleEvent, CaptureTap, Counter, FlightRecorder, LatencyHistogram, NodeCapture, NodeFlight,
     QualityMonitor, Telemetry, TraceEvent, WarningLog,
 };
+use desh_nn::WindowScratch;
 use desh_util::Micros;
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
@@ -149,6 +150,9 @@ struct BatchMetrics {
     warnings: Arc<Counter>,
     /// `ingest.batch_size` — staged rows per wave step.
     batch_size: Arc<LatencyHistogram>,
+    /// `ingest.first_steps_cached` — wave rows served by the first-step
+    /// table instead of the GEMV.
+    first_steps_cached: Arc<Counter>,
     /// `ingest.evicted_live` — evictions that dropped a live episode.
     evicted_live: Arc<Counter>,
     /// `online.episode_trimmed` — events dropped by the episode cap;
@@ -172,6 +176,7 @@ pub struct BatchDetector {
     train_vocab: u32,
     quality: Option<QualityMonitor>,
     chains: ChainMatcher,
+    window: WindowScratch,
     tracer: Option<Tracer>,
     capture: Option<Arc<CaptureTap>>,
     /// Ring handles by node; outlives slot churn, pruned by the idle
@@ -207,8 +212,9 @@ impl BatchDetector {
 
     /// [`BatchDetector::new`] recording into a telemetry registry:
     /// `online.events` / `online.warnings` counters (shared names with
-    /// the sequential detector — counters sum across shards) and the
-    /// `ingest.batch_size` wave-occupancy histogram.
+    /// the sequential detector — counters sum across shards), the
+    /// `ingest.batch_size` wave-occupancy histogram and the
+    /// `ingest.first_steps_cached` counter of rows it did not step.
     pub fn with_telemetry(
         model: LeadTimeModel,
         vocab: Arc<Vocab>,
@@ -221,6 +227,7 @@ impl BatchDetector {
             events: r.counter("online.events"),
             warnings: r.counter("online.warnings"),
             batch_size: r.histogram("ingest.batch_size"),
+            first_steps_cached: r.counter("ingest.first_steps_cached"),
             evicted_live: r.counter("ingest.evicted_live"),
             episode_trimmed: r.counter("online.episode_trimmed"),
         });
@@ -239,6 +246,7 @@ impl BatchDetector {
             train_vocab,
             quality: QualityMonitor::new(telemetry),
             chains: ChainMatcher::default(),
+            window: WindowScratch::new(),
             tracer: None,
             capture: None,
             rings: HashMap::new(),
@@ -504,8 +512,8 @@ impl BatchDetector {
     }
 
     /// Resolve a slot for a new node: reuse a free slot, or — when the
-    /// shard is at capacity — settle the current wave and evict the
-    /// longest-idle resident. Returns an empty, registered slot.
+    /// shard is at capacity — evict the longest-idle resident (first
+    /// slot on ties). Returns an empty, registered slot.
     fn alloc_slot(
         &mut self,
         node: NodeId,
@@ -515,9 +523,6 @@ impl BatchDetector {
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
-                // Settling the wave first means no slot is staged or
-                // deferred, so any resident is safe to evict.
-                self.flush_wave(records, warnings);
                 let lru = self
                     .slots
                     .iter()
@@ -526,6 +531,13 @@ impl BatchDetector {
                     .min_by_key(|&(_, t)| t)
                     .map(|(i, _)| i)
                     .expect("no free slot implies at least one resident");
+                // Only a staged victim must be settled first: its pending
+                // sample and deferred walk read its slot. Any other
+                // resident's deferred work is keyed by record and node,
+                // so the wave carries on.
+                if self.slots[lru].as_ref().is_some_and(|s| s.staged) {
+                    self.flush_wave(records, warnings);
+                }
                 self.evict_slot(lru);
                 self.free.pop().expect("eviction freed a slot")
             }
@@ -578,10 +590,14 @@ impl BatchDetector {
     /// staged or deferred.
     fn flush_wave(&mut self, records: &[LogRecord], warnings: &mut Vec<Warning>) {
         if !self.staged_rows.is_empty() {
-            self.model
-                .batch_push_rows(&mut self.batch, &self.staged_rows, &mut self.wave_scores);
+            let cached = self.model.batch_push_rows(
+                &mut self.batch,
+                &self.staged_rows,
+                &mut self.wave_scores,
+            );
             if let Some(m) = &self.metrics {
                 m.batch_size.record(self.staged_rows.len() as u64);
+                m.first_steps_cached.add(cached as u64);
             }
             for (k, &slot) in self.staged_rows.iter().enumerate() {
                 let st = self.slots[slot].as_mut().expect("staged slot is occupied");
@@ -609,6 +625,7 @@ impl BatchDetector {
                         &self.cfg,
                         &self.vocab,
                         &mut self.chains,
+                        &mut self.window,
                         &self.slots[slot].as_ref().unwrap().events,
                         transitions,
                         mean_raw,
@@ -943,6 +960,97 @@ mod tests {
             .expect("fixture has a scored template")
     }
 
+    /// The `i`-th distinct node id of a churning fleet.
+    fn churn_node(i: usize) -> NodeId {
+        let (cab, within) = (i / 192, i % 192);
+        NodeId::new(
+            (cab % 256) as u8,
+            (cab / 256) as u8,
+            (within / 64) as u8,
+            (within % 64 / 4) as u8,
+            (within % 4) as u8,
+        )
+    }
+
+    #[test]
+    fn slot_pressure_without_live_evictions_matches_sequential() {
+        // Each node takes a fresh id after every session gap, so at most
+        // one id per node is live at a time: 24 nodes through 32 slots
+        // evict only ids whose episode is over, which the sequential
+        // detector would never see again. Decisions and traces must then
+        // match it bit for bit, and evictions must not cut waves.
+        let (trained, cfg, test) = fixture(409);
+        let gap = Micros::from_secs_f64(cfg.episodes.session_gap_secs);
+        let mut ids: HashMap<NodeId, (NodeId, Micros)> = HashMap::new();
+        let mut fresh = 0;
+        let stream: Vec<LogRecord> = test
+            .records
+            .iter()
+            .map(|r| {
+                let (id, last) = ids.entry(r.node).or_insert((r.node, r.time));
+                if r.time.saturating_sub(*last) > gap || *id == r.node {
+                    *id = churn_node(fresh);
+                    fresh += 1;
+                }
+                *last = r.time;
+                LogRecord::new(r.time, *id, r.text.clone())
+            })
+            .collect();
+
+        let mut seq = OnlineDetector::new(
+            trained.lead_model.clone(),
+            trained.parsed_train.vocab.clone(),
+            cfg.clone(),
+        );
+        seq.attach_chains(&trained.phase1.chains);
+        let seq_flight = Arc::new(FlightRecorder::new());
+        seq.attach_tracing(Arc::clone(&seq_flight), Arc::new(WarningLog::new(64)));
+        let t = Telemetry::enabled();
+        let mut bat = BatchDetector::with_telemetry(
+            trained.lead_model.clone(),
+            trained.parsed_train.vocab.clone(),
+            cfg,
+            32,
+            &t,
+        );
+        bat.attach_chains(&trained.phase1.chains);
+        let bat_flight = Arc::new(FlightRecorder::new());
+        bat.attach_tracing(Arc::clone(&bat_flight), Arc::new(WarningLog::new(64)));
+
+        let mut a = Vec::new();
+        for r in &stream {
+            a.extend(seq.ingest(r));
+        }
+        let mut b = Vec::new();
+        for c in stream.chunks(512) {
+            bat.ingest_chunk(c, &mut b);
+        }
+        assert!(fresh > 32, "only {fresh} ids for 32 slots");
+        assert!(bat.evicted_nodes() > 0, "no slot-pressure evictions");
+        assert_eq!(bat.evicted_live(), 0, "an eviction dropped a live episode");
+        assert!(!a.is_empty(), "no warnings to compare");
+        assert_same_warnings(&a, &b);
+
+        let mut names = seq_flight.node_names();
+        names.sort();
+        let mut bat_names = bat_flight.node_names();
+        bat_names.sort();
+        assert_eq!(names, bat_names, "traced node sets differ");
+        for n in &names {
+            let x: Vec<_> = seq_flight.get(n).unwrap().snapshot();
+            let y: Vec<_> = bat_flight.get(n).unwrap().snapshot();
+            let words = |v: &[TraceEvent]| v.iter().map(|e| e.to_words()).collect::<Vec<_>>();
+            assert_eq!(words(&x), words(&y), "trace words for {n}");
+        }
+
+        let waves = t.snapshot().unwrap().histogram("ingest.batch_size").unwrap().count();
+        assert!(
+            waves < bat.evicted_nodes(),
+            "{waves} waves for {} evictions: evictions cut waves",
+            bat.evicted_nodes()
+        );
+    }
+
     #[test]
     fn node_churn_stays_within_the_flight_budget() {
         let (trained, cfg, test) = fixture(407);
@@ -955,23 +1063,13 @@ mod tests {
         );
         bat.attach_tracing(Arc::clone(&flight), Arc::new(WarningLog::new(16)));
         let text = scored_text(&test.records);
-        let node = |i: usize| {
-            let (cab, within) = (i / 192, i % 192);
-            NodeId::new(
-                (cab % 256) as u8,
-                (cab / 256) as u8,
-                (within / 64) as u8,
-                (within % 64 / 4) as u8,
-                (within % 4) as u8,
-            )
-        };
         let t0 = test.records[0].time;
         let mut warnings = Vec::new();
         let (nodes, chunk_len) = (100_000, 256);
         let mut peak_live = 0;
         for start in (0..nodes).step_by(chunk_len) {
             let chunk: Vec<LogRecord> = (start..(start + chunk_len).min(nodes))
-                .map(|i| LogRecord::new(t0 + Micros(i as u64 * 1000), node(i), text.clone()))
+                .map(|i| LogRecord::new(t0 + Micros(i as u64 * 1000), churn_node(i), text.clone()))
                 .collect();
             bat.ingest_chunk(&chunk, &mut warnings);
             assert!(
@@ -1097,5 +1195,14 @@ mod tests {
         let sizes = snap.histogram("ingest.batch_size").unwrap();
         assert!(sizes.count() > 0, "no waves recorded");
         assert!(sizes.max() > 1, "waves never batched more than one row");
+        // Fresh streams' first rows come from the first-step table once
+        // their phrase has been stepped; every other row is stepped.
+        let cached = snap.counter("ingest.first_steps_cached").unwrap();
+        assert!(cached > 0, "the first-step table served no rows");
+        assert!(
+            cached < sizes.sum(),
+            "{cached} of {} wave rows served from the table",
+            sizes.sum()
+        );
     }
 }

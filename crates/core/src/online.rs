@@ -36,6 +36,7 @@ use desh_obs::{
     ActiveWaterfall, CapsuleEvent, CaptureTap, Counter, FlightRecorder, Gauge, LatencyHistogram,
     NodeCapture, NodeFlight, QualityMonitor, SpanProfiler, Telemetry, TraceEvent, WarningLog,
 };
+use desh_nn::WindowScratch;
 use desh_util::{duration_us, Micros};
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
@@ -44,7 +45,7 @@ use std::time::Instant;
 /// Most events an episode buffer keeps; older ones are dropped (and
 /// counted in `online.episode_trimmed`). Scores cannot change: carried
 /// state is rebuilt only from a one-event buffer (after a reset, a
-/// warning, or a new slot), and `predict_next` reads only the newest
+/// warning, or a new slot), and the lead prediction reads only the newest
 /// `history` rows. Only the evidence, class and matched chain of longer
 /// episodes see the cut.
 pub(crate) const MAX_EPISODE_EVENTS: usize = 64;
@@ -222,6 +223,8 @@ pub struct OnlineDetector {
     /// Trained chains, pre-encoded, for naming the matched chain in
     /// warnings. Empty when no chains were attached.
     chains: ChainMatcher,
+    /// Buffers for each warning's lead-window prediction.
+    window: WindowScratch,
     /// Vocabulary size at construction: any later-interned phrase id is a
     /// template the model never trained on (the drift signal).
     train_vocab: u32,
@@ -313,6 +316,7 @@ impl OnlineDetector {
             metrics,
             tracer: None,
             chains: ChainMatcher::default(),
+            window: WindowScratch::new(),
             train_vocab,
             quality: QualityMonitor::new(telemetry),
             profiler: None,
@@ -444,12 +448,14 @@ impl OnlineDetector {
         });
         if self.nodes.len() > self.eviction.max_nodes {
             // Over the hard cap even after the TTL pass: shed the
-            // longest-idle nodes first. Rare, so the sort is acceptable.
+            // `excess` longest-idle nodes. Under node-id churn this runs
+            // on every sweep, so select them in linear time rather than
+            // sorting every resident node.
             let mut by_idle: Vec<(NodeId, Micros)> =
                 self.nodes.iter().map(|(n, s)| (*n, s.last_seen)).collect();
-            by_idle.sort_by_key(|&(_, t)| t);
             let excess = self.nodes.len() - self.eviction.max_nodes;
-            for &(node, _) in by_idle.iter().take(excess) {
+            by_idle.select_nth_unstable_by_key(excess - 1, |&(_, t)| t);
+            for &(node, _) in &by_idle[..excess] {
                 if let Some(s) = self.nodes.remove(&node) {
                     dropped_events += s.events.len() as u64;
                     dropped_nodes += 1;
@@ -615,6 +621,7 @@ impl OnlineDetector {
             &self.cfg,
             &self.vocab,
             &mut self.chains,
+            &mut self.window,
             state,
             record,
         );
@@ -739,6 +746,7 @@ impl OnlineDetector {
         cfg: &DeshConfig,
         vocab: &Vocab,
         chains: &mut ChainMatcher,
+        window: &mut WindowScratch,
         state: &NodeState,
         record: &LogRecord,
     ) -> Option<Warning> {
@@ -748,6 +756,7 @@ impl OnlineDetector {
             cfg,
             vocab,
             chains,
+            window,
             &state.events,
             ls.transitions(),
             model.stream_mean(ls),
@@ -768,13 +777,15 @@ impl OnlineDetector {
 /// (`transitions`, `mean_raw` — a [`LeadStream`]'s or a batch slot's),
 /// and on a hit pay for the full-buffer work over `events`. Keeping one
 /// implementation is what makes "batched scoring matches sequential"
-/// a statement about the cell-step kernels alone.
+/// a statement about the cell-step kernels alone. `chains` and `window`
+/// are the calling detector's reused warning-path buffers.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_stream(
     model: &LeadTimeModel,
     cfg: &DeshConfig,
     vocab: &Vocab,
     chains: &mut ChainMatcher,
+    window: &mut WindowScratch,
     events: &[(Micros, u32)],
     transitions: usize,
     mean_raw: Option<f64>,
@@ -791,19 +802,10 @@ pub(crate) fn evaluate_stream(
     }
 
     // Chain recognised. Only now pay for the full-buffer work: the
-    // countdown-encoded window (the batch pipeline's ΔT form) feeds
-    // `predict_next`, whose channel 0 carries the expected remaining
-    // ΔT, and the evidence strings are materialised for the report.
-    // `predict_next` reads only the newest `history` rows, so only those
-    // are encoded, against the same `newest`.
-    let newest = events.last().unwrap().0;
-    let seq: Vec<Vec<f32>> = events[events.len().saturating_sub(model.history)..]
-        .iter()
-        .map(|&(t, p)| model.vectorize(newest.saturating_sub(t).as_secs_f64(), p))
-        .collect();
-    let window: Vec<&[f32]> = seq.iter().map(|v| v.as_slice()).collect();
-    let next = model.net.predict_next(&window, model.history);
-    let predicted_lead_secs = model.denormalize_dt(next[0]);
+    // countdown-encoded window (the batch pipeline's ΔT form) predicts
+    // the remaining lead, and the evidence strings are materialised for
+    // the report.
+    let predicted_lead_secs = model.predict_lead(events, window);
 
     let evidence: Vec<String> = events
         .iter()
@@ -811,7 +813,8 @@ pub(crate) fn evaluate_stream(
         .collect();
     let class = classify_templates(evidence.iter().cloned());
     // DTW retrieval against the attached chains, over the same countdown
-    // ΔT as `seq` in compact form. Paid only on the warning path.
+    // ΔT as the lead window, in compact form. Paid only on the warning
+    // path.
     let (matched_chain, chain_distance) = match chains.nearest(events) {
         Some((i, d)) => (Some(i), Some(d)),
         None => (None, None),
@@ -1273,8 +1276,14 @@ mod tests {
             evicted: r.counter("online.evicted_nodes"),
             episode_trimmed: r.counter("online.episode_trimmed"),
         });
+        // Each node's last scored-path time, as the detector stamps it.
+        let mut seen: HashMap<NodeId, Micros> = HashMap::new();
         for rec in &test.records {
+            let before = det.events_seen();
             det.ingest(rec);
+            if det.events_seen() > before {
+                seen.insert(rec.node, rec.time);
+            }
             // The sweep runs before the current node is (re)inserted, so
             // the map holds at most cap + 1 states at any instant.
             assert!(
@@ -1282,6 +1291,17 @@ mod tests {
                 "cap breached: {}",
                 det.resident_nodes()
             );
+            // The survivors are the most recently seen nodes: no evicted
+            // node was seen after a resident one.
+            let oldest_resident = det.nodes.keys().map(|n| seen[n]).min();
+            let newest_evicted = seen
+                .iter()
+                .filter(|(n, _)| !det.nodes.contains_key(n))
+                .map(|(_, &t)| t)
+                .max();
+            if let (Some(r), Some(e)) = (oldest_resident, newest_evicted) {
+                assert!(e <= r, "evicted a node seen at {e:?}, kept one seen at {r:?}");
+            }
         }
         assert!(det.evicted_nodes() > 0);
         let snap = t.snapshot().unwrap();

@@ -24,7 +24,7 @@ use crate::observe::EpochTelemetry;
 use crate::session::RunSession;
 use desh_nn::{
     Optimizer, QuantizedVectorLstm, QuantizedVectorStream, QuantizedVectorStreamBatch, RmsProp,
-    TrainConfig, VectorLstm, VectorStream, VectorStreamBatch,
+    TrainConfig, VectorLstm, VectorStream, VectorStreamBatch, WindowScratch,
 };
 use desh_obs::{DivergenceRecord, Telemetry};
 use desh_util::{Micros, Xoshiro256pp};
@@ -82,14 +82,6 @@ impl ScoringNet {
         }
     }
 
-    /// Predict the next sample from a context window.
-    pub fn predict_next(&self, window: &[&[f32]], history: usize) -> Vec<f32> {
-        match self {
-            ScoringNet::F32(m) => m.predict_next(window, history),
-            ScoringNet::Int8(m) => m.predict_next(window, history),
-        }
-    }
-
     fn begin_stream(&self) -> NetStream {
         match self {
             ScoringNet::F32(m) => NetStream::F32(m.begin_stream()),
@@ -112,15 +104,20 @@ impl ScoringNet {
         }
     }
 
+    /// Returns how many rows the first-step table served (always 0 for
+    /// the int8 net, which has none).
     fn stream_push_rows(
         &self,
         sb: &mut NetStreamBatch,
         rows: &[usize],
         scores: &mut Vec<Option<f64>>,
-    ) {
+    ) -> usize {
         match (self, sb) {
             (ScoringNet::F32(m), NetStreamBatch::F32(s)) => m.stream_push_rows(s, rows, scores),
-            (ScoringNet::Int8(m), NetStreamBatch::Int8(s)) => m.stream_push_rows(s, rows, scores),
+            (ScoringNet::Int8(m), NetStreamBatch::Int8(s)) => {
+                m.stream_push_rows(s, rows, scores);
+                0
+            }
             _ => panic!("lead batch was begun under a different scoring-net variant"),
         }
     }
@@ -191,6 +188,30 @@ impl LeadTimeModel {
     /// Recover seconds from the ΔT channel of a model output.
     pub fn denormalize_dt(&self, v: f32) -> f64 {
         (v.max(0.0) * self.dt_scale) as f64
+    }
+
+    /// The lead time, in seconds, the net predicts for an episode buffer
+    /// of `(time, phrase)` events: its newest `history` events, with ΔT
+    /// counted down to the newest (the form phase 2 trains on), are
+    /// encoded straight into `sw`, and the ΔT channel of the predicted
+    /// next sample is the lead. The f32 net runs
+    /// [`VectorLstm::predict_next_ws`], the int8 net `predict_next`.
+    pub fn predict_lead(&self, events: &[(Micros, u32)], sw: &mut WindowScratch) -> f64 {
+        let newest = events.last().expect("an episode holds an event").0;
+        let dim = self.vocab_size + 1;
+        sw.clear();
+        for &(t, p) in &events[events.len().saturating_sub(self.history)..] {
+            let secs = newest.saturating_sub(t).as_secs_f64();
+            write_sample(sw.push_row(dim), secs, p, self.dt_scale, self.vocab_size);
+        }
+        let next_dt = match &self.net {
+            ScoringNet::F32(m) => m.predict_next_ws(self.history, sw)[0],
+            ScoringNet::Int8(m) => {
+                let window: Vec<&[f32]> = sw.rows().chunks(dim).collect();
+                m.predict_next(&window, self.history)[0]
+            }
+        };
+        self.denormalize_dt(next_dt)
     }
 
     /// The phrase id a model output predicts (argmax of the one-hot block).
@@ -279,26 +300,28 @@ impl LeadTimeModel {
             None => 0.0,
         };
         agg.last_time = Some(time);
-        // Bit-identical to `vectorize`, written into the resident row.
-        let row = lb.net.input_row_mut(slot);
-        row.fill(0.0);
-        row[0] = (gap_secs as f32 / self.dt_scale).min(4.0);
-        let idx = (phrase as usize).min(self.vocab_size.saturating_sub(1));
-        row[1 + idx] = 1.0;
+        write_sample(
+            lb.net.input_row_mut(slot),
+            gap_secs,
+            phrase,
+            self.dt_scale,
+            self.vocab_size,
+        );
     }
 
     /// Advance every staged slot in `rows` by one cell step per layer and
     /// fold each slot's raw one-step MSE into its running aggregate —
     /// [`Self::stream_push`] for a whole wave. `scores[i]` is the raw MSE
     /// contributed by `rows[i]` (`None` for a slot's first event), exactly
-    /// what `stream_push` would have returned.
+    /// what `stream_push` would have returned. Returns how many rows the
+    /// net's first-step table served instead of the GEMV.
     pub fn batch_push_rows(
         &self,
         lb: &mut LeadBatch,
         rows: &[usize],
         scores: &mut Vec<Option<f64>>,
-    ) {
-        self.net.stream_push_rows(&mut lb.net, rows, scores);
+    ) -> usize {
+        let cached = self.net.stream_push_rows(&mut lb.net, rows, scores);
         for (&slot, score) in rows.iter().zip(scores.iter()) {
             if let Some(s) = score {
                 let agg = &mut lb.slots[slot];
@@ -306,6 +329,7 @@ impl LeadTimeModel {
                 agg.transitions += 1;
             }
         }
+        cached
     }
 
     /// Mean raw one-step MSE accumulated by `slot`, or `None` before its
@@ -397,10 +421,17 @@ impl LeadBatch {
 /// Encode one sample: ΔT channel followed by a one-hot phrase block.
 pub fn vectorize(delta_t_secs: f64, phrase: u32, dt_scale: f32, vocab: usize) -> Vec<f32> {
     let mut v = vec![0.0f32; vocab + 1];
-    v[0] = (delta_t_secs as f32 / dt_scale).min(4.0);
-    let idx = (phrase as usize).min(vocab.saturating_sub(1));
-    v[1 + idx] = 1.0;
+    write_sample(&mut v, delta_t_secs, phrase, dt_scale, vocab);
     v
+}
+
+/// [`vectorize`] into a caller's `vocab + 1`-wide row, overwriting all of
+/// it. Phrase ids at or past the vocabulary clamp to its last index.
+fn write_sample(row: &mut [f32], delta_t_secs: f64, phrase: u32, dt_scale: f32, vocab: usize) {
+    row.fill(0.0);
+    row[0] = (delta_t_secs as f32 / dt_scale).min(4.0);
+    let idx = (phrase as usize).min(vocab.saturating_sub(1));
+    row[1 + idx] = 1.0;
 }
 
 /// A failure chain as a phase-2 input sequence.

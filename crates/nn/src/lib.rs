@@ -58,6 +58,7 @@ pub use lstm::{LstmLayer, LstmScratch, LstmState};
 pub use mat::Mat;
 pub use models::{
     ScoreWorkspace, TokenLstm, TrainConfig, VectorLstm, VectorStream, VectorStreamBatch,
+    WindowScratch,
 };
 pub use observe::{NoopObserver, ParamStats, RecordingObserver, ShardStats, TrainObserver};
 pub use optim::{nonfinite_grad_count, Adam, Optimizer, RmsProp, Sgd};

@@ -1633,16 +1633,6 @@ mod tests {
         assert!(supported(b));
     }
 
-    #[test]
-    fn set_backend_clamps_unsupported() {
-        let prev = backend();
-        #[cfg(not(target_arch = "aarch64"))]
-        assert_eq!(set_backend(Backend::Neon), Backend::Scalar);
-        #[cfg(not(target_arch = "x86_64"))]
-        assert_eq!(set_backend(Backend::Avx2Fma), Backend::Scalar);
-        set_backend(prev);
-    }
-
     /// Every dispatched kernel agrees with its scalar variant to SIMD
     /// tolerance on shapes with ragged (non-multiple-of-lane) tails.
     #[test]

@@ -2,7 +2,7 @@
 
 use desh_nn::loss::{mse, mse_vec, softmax, softmax_xent, top_k};
 use desh_nn::simd::set_backend;
-use desh_nn::{Backend, Mat, QuantMat, TokenLstm, VectorLstm};
+use desh_nn::{Backend, Mat, QuantMat, TokenLstm, VectorLstm, WindowScratch};
 use desh_util::Xoshiro256pp;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -363,4 +363,122 @@ proptest! {
             prop_assert!(h.data().iter().all(|x| x.is_finite()));
         }
     }
+
+    #[test]
+    fn predict_next_ws_matches_predict_next_bit_for_bit(
+        dim in 1usize..7,
+        hidden in 1usize..10,
+        layers in 1usize..3,
+        history in 1usize..7,
+        seed in any::<u64>(),
+    ) {
+        // Every window length from 1 to history + 2, shrinking then
+        // growing so the padding cache is read out of fill order, through
+        // one scratch reused across calls and across a switch to the
+        // scalar backend and back.
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let m = VectorLstm::new(dim, hidden, layers, &mut rng);
+        let lens: Vec<usize> = (1..=history + 2).rev().chain(1..=history + 2).collect();
+        let mut sw = WindowScratch::new();
+        let mut mismatches = Vec::new();
+        let guard = BACKEND_LOCK.lock().unwrap();
+        let native = desh_nn::kernel_backend();
+        for backend in [native, Backend::Scalar, native] {
+            set_backend(backend);
+            for &len in &lens {
+                let rows: Vec<Vec<f32>> = (0..len)
+                    .map(|_| (0..dim).map(|_| rng.f32() * 2.0 - 1.0).collect())
+                    .collect();
+                let window: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+                sw.clear();
+                for r in &rows {
+                    sw.push_row(dim).copy_from_slice(r);
+                }
+                let want = m.predict_next(&window, history);
+                let got = m.predict_next_ws(history, &mut sw);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                if bits(got) != bits(&want) {
+                    mismatches.push((backend.name(), len));
+                }
+            }
+        }
+        set_backend(native);
+        drop(guard);
+        prop_assert!(mismatches.is_empty(), "diverged at {:?}", mismatches);
+    }
+}
+
+#[test]
+fn set_backend_clamps_unsupported() {
+    let _pinned = BACKEND_LOCK.lock().unwrap();
+    let prev = desh_nn::kernel_backend();
+    #[cfg(not(target_arch = "aarch64"))]
+    assert_eq!(set_backend(Backend::Neon), Backend::Scalar);
+    #[cfg(not(target_arch = "x86_64"))]
+    assert_eq!(set_backend(Backend::Avx2Fma), Backend::Scalar);
+    set_backend(prev);
+}
+
+#[test]
+fn first_step_table_follows_a_backend_switch() {
+    // A batch whose first-step table was filled under the native backend
+    // keeps matching sequential streams after a switch to scalar and
+    // back: the table refills under each backend instead of serving the
+    // other backend's bits.
+    let vocab = 5usize;
+    let mut rng = Xoshiro256pp::seed_from_u64(31);
+    let m = VectorLstm::new(vocab + 1, 8, 2, &mut rng);
+    let first = |phrase: usize| {
+        let mut v = vec![0.0f32; vocab + 1];
+        v[1 + phrase] = 1.0;
+        v
+    };
+    let slots = 4usize;
+    let mut sb = m.begin_stream_batch(slots);
+    let mut scores = Vec::new();
+    let mut mismatches = Vec::new();
+    let guard = BACKEND_LOCK.lock().unwrap();
+    let native = desh_nn::kernel_backend();
+    let order = [native, native, Backend::Scalar, Backend::Scalar, native];
+    for (round, &backend) in order.iter().enumerate() {
+        set_backend(backend);
+        // The first round under a backend refills the table; a round
+        // after one under the same backend finds it filled.
+        let refill = round == 0 || order[round - 1] != backend;
+        let mut seq: Vec<_> = (0..slots).map(|_| m.begin_stream()).collect();
+        let rows: Vec<usize> = (0..slots).collect();
+        for s in 0..slots {
+            sb.reset_slot(s);
+        }
+        // A one-hot first sample per slot (slots 1 and 2 share phrase 2),
+        // then a later sample that carries the state forward.
+        let waves: Vec<Vec<Vec<f32>>> = vec![
+            (0..slots).map(|s| first(s.div_ceil(2) + 1)).collect(),
+            (0..slots)
+                .map(|_| (0..=vocab).map(|_| rng.f32() - 0.5).collect())
+                .collect(),
+        ];
+        for (w, wave) in waves.iter().enumerate() {
+            for (s, x) in wave.iter().enumerate() {
+                sb.input_row_mut(s).copy_from_slice(x);
+            }
+            let cached = m.stream_push_rows(&mut sb, &rows, &mut scores);
+            if w == 0 && cached != if refill { 0 } else { slots } {
+                mismatches.push(format!("round {round}: {cached} rows served"));
+            }
+            for (s, x) in wave.iter().enumerate() {
+                let want = m.stream_push(&mut seq[s], x);
+                if scores[s].map(f64::to_bits) != want.map(f64::to_bits) {
+                    mismatches.push(format!("round {round} wave {w} slot {s}: score"));
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                if bits(sb.prediction(s)) != bits(seq[s].prediction()) {
+                    mismatches.push(format!("round {round} wave {w} slot {s}: prediction"));
+                }
+            }
+        }
+    }
+    set_backend(native);
+    drop(guard);
+    assert!(mismatches.is_empty(), "{mismatches:?}");
 }

@@ -120,6 +120,9 @@ fn help_for(base: &str) -> String {
         }
         "ingest.rejected" => "Raw intake lines rejected without enqueueing, per reason",
         "ingest.refused_connections" => "Intake connections closed at the connection cap",
+        "ingest.first_steps_cached" => {
+            "Wave rows of fresh streams served from the first-step table instead of the GEMV"
+        }
         "online.episode_trimmed" => "Oldest episode-buffer events dropped by the episode cap",
         "obs.flight_bytes" => "Bytes held by per-node flight rings, against their budget",
         "obs.flight_evicted" => "Flight rings dropped whole to stay within the byte budget",

@@ -1153,7 +1153,7 @@ fn cmd_drive(opts: &Flags) -> Result<(), String> {
             out.write_all(line.as_bytes()).map_err(|e| e.to_string())?;
             out.write_all(b"\n").map_err(|e| e.to_string())?;
             sent += 1;
-            if sent % 1024 == 0 {
+            if sent.is_multiple_of(1024) {
                 if let Some(r) = rate {
                     let due = Duration::from_secs_f64(sent as f64 / r as f64);
                     let elapsed = started.elapsed();

@@ -350,8 +350,10 @@ mod tests {
         let parsed = parse_records(&d.records);
         let chains = extract_chains(&parsed, &EpisodeConfig::default());
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let mut cfg = Phase2Config::default();
-        cfg.epochs = 2;
+        let cfg = Phase2Config {
+            epochs: 2,
+            ..Phase2Config::default()
+        };
         let model = run_phase2(&chains, parsed.vocab_size(), &cfg, &mut rng);
         (model, parsed.vocab.clone(), chains)
     }

@@ -87,7 +87,7 @@ fn int8_detector_tracks_f32_precision_recall_and_classes() {
     // on the inferred failure class — the operator-facing diagnosis.
     let f32_by_key: std::collections::HashMap<_, _> = w_f32
         .iter()
-        .map(|w| ((w.node, w.at), w.class.clone()))
+        .map(|w| ((w.node, w.at), w.class))
         .collect();
     for w in &w_int8 {
         if let Some(class) = f32_by_key.get(&(w.node, w.at)) {

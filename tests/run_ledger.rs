@@ -156,7 +156,7 @@ fn poisoned_run_aborts_with_reason_and_last_good_checkpoint() {
     // The offending epoch is on record: stats dump + NaN series row.
     assert!(dir.join("divergence.json").exists());
     let series = load_series(&dir).unwrap();
-    let last = series.iter().filter(|r| r.phase == "phase2").next_back().unwrap();
+    let last = series.iter().rfind(|r| r.phase == "phase2").unwrap();
     assert_eq!(last.epoch, 2);
     assert!(last.loss.is_nan());
     let _ = std::fs::remove_dir_all(&root);

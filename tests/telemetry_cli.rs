@@ -135,8 +135,7 @@ fn predict_telemetry_writes_parseable_jsonl_with_latencies() {
     }
     let last = pred_lines
         .lines()
-        .filter(|l| l.contains("\"label\":\"final\""))
-        .next_back()
+        .rfind(|l| l.contains("\"label\":\"final\""))
         .expect("predict telemetry has a final snapshot");
     let scored = hist_count(last, "online.score_latency_us")
         .expect("final snapshot has online.score_latency_us");
