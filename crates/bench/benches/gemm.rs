@@ -1,11 +1,11 @@
 //! Substrate bench: matrix-multiply kernels across the size range the LSTM
 //! actually uses (batch x hidden shapes), including the rayon-parallel
-//! path for larger shapes, plus the scalar/SIMD/int8 GEMV matrix behind
-//! the online scoring hot loop.
+//! path for larger shapes, plus the scalar/SIMD GEMV pair behind the
+//! online scoring hot loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use desh_nn::simd::set_backend;
-use desh_nn::{Backend, Mat, QuantMat};
+use desh_nn::{Backend, Mat};
 use desh_util::Xoshiro256pp;
 use std::hint::black_box;
 
@@ -37,8 +37,7 @@ fn bench_gemm(c: &mut Criterion) {
 /// kernel backend per variant so the scalar/SIMD ratio — the number the
 /// CI bench gate asserts on — comes out of the same binary on the same
 /// inputs, and time the zero-allocation `matmul_into` entry the scoring
-/// loop actually calls. The int8 row measures the quantized i8-weight
-/// f32-accumulate kernel at the native backend.
+/// loop actually calls.
 fn bench_gemv(c: &mut Criterion) {
     let native = desh_nn::kernel_backend();
     let mut rng = Xoshiro256pp::seed_from_u64(11);
@@ -46,9 +45,7 @@ fn bench_gemv(c: &mut Criterion) {
     for &n in &[16usize, 64, 96, 128, 256] {
         let x = rand_mat(1, n, &mut rng);
         let w = rand_mat(n, n, &mut rng);
-        let q = QuantMat::quantize(&w);
         let mut mout = Mat::zeros(1, n);
-        let mut out = vec![0.0f32; n];
         group.throughput(Throughput::Elements((n * n) as u64));
         set_backend(Backend::Scalar);
         group.bench_with_input(BenchmarkId::new("scalar", n), &n, |bch, _| {
@@ -57,12 +54,6 @@ fn bench_gemv(c: &mut Criterion) {
         set_backend(native);
         group.bench_with_input(BenchmarkId::new("simd", n), &n, |bch, _| {
             bch.iter(|| black_box(&x).matmul_into(black_box(&w), black_box(&mut mout)));
-        });
-        group.bench_with_input(BenchmarkId::new("int8", n), &n, |bch, _| {
-            bch.iter(|| {
-                out.iter_mut().for_each(|v| *v = 0.0);
-                q.gemv(black_box(x.row(0)), black_box(&mut out));
-            });
         });
     }
     set_backend(native);

@@ -72,8 +72,7 @@ fn bench_phase3_scoring(c: &mut Criterion) {
                     .iter()
                     .map(|e| model.vectorize(end.saturating_sub(e.time).as_secs_f64(), e.phrase))
                     .collect();
-                let f32_net = model.net.f32().expect("phase 2 trains the f32 variant");
-                black_box(f32_net.score_sequence(&seq, model.history));
+                black_box(model.net.score_sequence(&seq, model.history));
             }
         })
     });

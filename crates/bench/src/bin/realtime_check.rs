@@ -24,14 +24,14 @@
 //! * `--json <path>` — write the measurements as machine-readable JSON
 //!   (defaults to `results/BENCH_fig10.json` in full runs; off in smoke
 //!   runs unless given explicitly).
-//! * `--int8` — replay through the int8-quantized detector instead of
-//!   the f32 one. The JSON records `kernel_backend` and `int8` either
-//!   way, so latency numbers are attributable to the exact kernel path.
 //! * `--shadow` — train a second candidate (seed+1) and run it as a
 //!   shadow scorer beside the measured primary, the way
 //!   `desh-cli predict --shadow` does. The gated p99 is still the
 //!   primary's own `online.score_latency_us`: the flag proves shadow
 //!   scoring keeps the primary inside its latency budget.
+//!
+//! The JSON records `kernel_backend`, so latency numbers are attributable
+//! to the exact kernel path.
 
 use desh_bench::{experiment_config, EXPERIMENT_SEED};
 use desh_core::{Desh, DeshConfig, OnlineDetector, ShadowScorer};
@@ -55,7 +55,6 @@ const BASELINE_SCORE_US: (f64, f64, f64) = (126.4, 248.0, 369.5);
 struct Args {
     smoke: bool,
     trace: bool,
-    int8: bool,
     shadow: bool,
     max_p99_us: Option<f64>,
     profile_every: Option<u64>,
@@ -67,7 +66,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         smoke: false,
         trace: false,
-        int8: false,
         shadow: false,
         max_p99_us: None,
         profile_every: None,
@@ -79,7 +77,6 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--smoke" => args.smoke = true,
             "--trace" => args.trace = true,
-            "--int8" => args.int8 = true,
             "--shadow" => args.shadow = true,
             "--max-p99-us" => {
                 let v = it.next().expect("--max-p99-us needs a value");
@@ -143,18 +140,9 @@ fn main() {
     println!("training...");
     let trained = desh.train(&train);
 
-    let make_detector = |t: &Telemetry| {
-        if args.int8 {
-            trained.quantized_detector(desh.cfg.clone(), t)
-        } else {
-            trained.online_detector(desh.cfg.clone(), t)
-        }
-    };
+    let make_detector = |t: &Telemetry| trained.online_detector(desh.cfg.clone(), t);
     let kernel_backend = desh_nn::kernel_backend_name();
-    println!(
-        "scoring path: {kernel_backend} kernels, {} weights",
-        if args.int8 { "int8" } else { "f32" }
-    );
+    println!("scoring path: {kernel_backend} kernels, f32 weights");
     let telemetry = Telemetry::enabled();
     let mut det = make_detector(&telemetry);
     let flight = Arc::new(FlightRecorder::new());
@@ -170,11 +158,7 @@ fn main() {
         println!("training shadow candidate (seed {})...", EXPERIMENT_SEED + 1);
         let st = Desh::new(desh.cfg.clone(), EXPERIMENT_SEED + 1).train(&train);
         let quiet = Telemetry::disabled();
-        let candidate = if args.int8 {
-            st.quantized_detector(desh.cfg.clone(), &quiet)
-        } else {
-            st.online_detector(desh.cfg.clone(), &quiet)
-        };
+        let candidate = st.online_detector(desh.cfg.clone(), &quiet);
         det.set_observe_scores(true);
         let monitor = Arc::new(ShadowMonitor::new(&quiet, DEFAULT_SHADOW_SLACK_SECS));
         println!("shadow scoring attached beside the measured primary");
@@ -336,7 +320,6 @@ fn main() {
                 "  \"trace\": {},\n",
                 "  \"shadow\": {},\n",
                 "  \"kernel_backend\": \"{}\",\n",
-                "  \"int8\": {},\n",
                 "  \"events\": {},\n",
                 "  \"elapsed_s\": {:.4},\n",
                 "  \"throughput_events_per_s\": {:.1},\n",
@@ -357,7 +340,6 @@ fn main() {
             args.trace,
             args.shadow,
             kernel_backend,
-            args.int8,
             events as u64,
             elapsed,
             throughput,

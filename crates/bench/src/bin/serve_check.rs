@@ -11,7 +11,6 @@
 //!
 //! Flags:
 //! * `--smoke` — tiny profile + fast config, for CI gating.
-//! * `--int8` — score through the int8-quantized model.
 //! * `--shards <n>` / `--slots <n>` — intake geometry (default 8 × 256).
 //! * `--min-ratio <f>` — exit non-zero unless batched-intake throughput
 //!   is at least `f`× the in-process sequential baseline (the
@@ -32,7 +31,6 @@ const FIG10_SINGLE_STREAM_EV_S: f64 = 519_341.6;
 
 struct Args {
     smoke: bool,
-    int8: bool,
     shards: usize,
     slots: usize,
     min_ratio: Option<f64>,
@@ -42,7 +40,6 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         smoke: false,
-        int8: false,
         shards: 8,
         slots: 256,
         min_ratio: None,
@@ -52,7 +49,6 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => args.smoke = true,
-            "--int8" => args.int8 = true,
             "--shards" => {
                 let v = it.next().expect("--shards needs a value");
                 args.shards = v.parse().expect("--shards must be an integer");
@@ -87,17 +83,10 @@ fn main() {
     let desh = Desh::new(cfg, EXPERIMENT_SEED);
     println!("training...");
     let trained = desh.train(&train);
-    let model = if args.int8 {
-        trained.lead_model.clone().quantize()
-    } else {
-        trained.lead_model.clone()
-    };
+    let model = trained.lead_model.clone();
     let vocab = &trained.parsed_train.vocab;
     let kernel_backend = desh_nn::kernel_backend_name();
-    println!(
-        "scoring path: {kernel_backend} kernels, {} weights",
-        model.net.precision()
-    );
+    println!("scoring path: {kernel_backend} kernels, f32 weights");
     let events = test.records.len() as f64;
     let passes = if args.smoke { 2 } else { 3 };
 
@@ -212,7 +201,6 @@ fn main() {
                 "  \"profile\": \"{}\",\n",
                 "  \"smoke\": {},\n",
                 "  \"kernel_backend\": \"{}\",\n",
-                "  \"int8\": {},\n",
                 "  \"shards\": {},\n",
                 "  \"slots\": {},\n",
                 "  \"events\": {},\n",
@@ -230,7 +218,6 @@ fn main() {
             profile.name,
             args.smoke,
             kernel_backend,
-            args.int8,
             args.shards,
             args.slots,
             events as u64,

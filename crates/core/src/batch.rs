@@ -801,31 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_int8_matches_sequential_int8() {
-        let (trained, cfg, test) = fixture(402);
-        let model = trained.lead_model.clone().quantize();
-        let mut seq = OnlineDetector::new(
-            model.clone(),
-            trained.parsed_train.vocab.clone(),
-            cfg.clone(),
-        );
-        let mut bat =
-            BatchDetector::new(model, trained.parsed_train.vocab.clone(), cfg.clone(), 32);
-        let mut seq_warnings = Vec::new();
-        for r in &test.records {
-            if let Some(w) = seq.ingest(r) {
-                seq_warnings.push(w);
-            }
-        }
-        let mut bat_warnings = Vec::new();
-        for c in test.records.chunks(53) {
-            bat.ingest_chunk(c, &mut bat_warnings);
-        }
-        assert!(!seq_warnings.is_empty());
-        assert_same_warnings(&seq_warnings, &bat_warnings);
-    }
-
-    #[test]
     fn batched_traces_bit_identical_to_sequential() {
         let (trained, cfg, test) = fixture(403);
         let mut seq = OnlineDetector::new(

@@ -55,7 +55,6 @@ pub use online::{EvictionPolicy, OnlineDetector, Warning};
 pub use phase1::{run_phase1, run_phase1_session, run_phase1_telemetry, Phase1Output};
 pub use phase2::{
     chain_to_vectors, run_phase2, run_phase2_session, run_phase2_telemetry, LeadTimeModel,
-    ScoringNet,
 };
 pub use phase3::{
     maintenance_windows, run_phase3, run_phase3_profiled, run_phase3_telemetry, Phase3Output,

@@ -273,10 +273,9 @@ impl OnlineDetector {
     /// `online.events` / `online.warnings` counters, the
     /// `online.score_latency_us` per-event scoring-latency histogram, and
     /// the `online.buffered_events` occupancy gauge. Handles are resolved
-    /// once here so `ingest` never touches the registry lock. Two static
-    /// gauges identify the scoring substrate: `nn.kernel_backend` (the
-    /// [`desh_nn::Backend::code`] of the dispatched SIMD backend) and
-    /// `nn.int8` (1 when the model scores through quantized weights).
+    /// once here so `ingest` never touches the registry lock. The static
+    /// `nn.kernel_backend` gauge identifies the scoring substrate (the
+    /// [`desh_nn::Backend::code`] of the dispatched SIMD backend).
     pub fn with_telemetry(
         model: LeadTimeModel,
         vocab: Arc<Vocab>,
@@ -286,8 +285,6 @@ impl OnlineDetector {
         let metrics = telemetry.registry().map(|r| {
             r.gauge("nn.kernel_backend")
                 .set(desh_nn::kernel_backend().code() as f64);
-            r.gauge("nn.int8")
-                .set(matches!(model.net, crate::phase2::ScoringNet::Int8(_)) as u8 as f64);
             OnlineMetrics {
                 events: r.counter("online.events"),
                 warnings: r.counter("online.warnings"),

@@ -23,152 +23,17 @@ use crate::config::Phase2Config;
 use crate::observe::EpochTelemetry;
 use crate::session::RunSession;
 use desh_nn::{
-    Optimizer, QuantizedVectorLstm, QuantizedVectorStream, QuantizedVectorStreamBatch, RmsProp,
-    TrainConfig, VectorLstm, VectorStream, VectorStreamBatch, WindowScratch,
+    Optimizer, RmsProp, TrainConfig, VectorLstm, VectorStream, VectorStreamBatch, WindowScratch,
 };
 use desh_obs::{DivergenceRecord, Telemetry};
 use desh_util::{Micros, Xoshiro256pp};
-
-/// The scoring network behind a [`LeadTimeModel`]: either the trained f32
-/// LSTM or its int8-quantized inference-only twin. Training, checkpoint
-/// encoding, and backprop-adjacent paths require the f32 variant
-/// ([`ScoringNet::f32`]); the inference surface (windowed prediction and
-/// carried-state streaming) dispatches over both.
-#[derive(Debug, Clone)]
-pub enum ScoringNet {
-    /// Full-precision trained model (the only variant training produces).
-    F32(VectorLstm),
-    /// Int8 symmetric-quantized weights with f32 accumulation (~4× smaller
-    /// resident model, inference only).
-    Int8(QuantizedVectorLstm),
-}
-
-impl ScoringNet {
-    /// Sample width (ΔT channel + one-hot block).
-    pub fn dim(&self) -> usize {
-        match self {
-            ScoringNet::F32(m) => m.dim(),
-            ScoringNet::Int8(m) => m.dim(),
-        }
-    }
-
-    /// Short label of the numeric path, for provenance lines and gauges.
-    pub fn precision(&self) -> &'static str {
-        match self {
-            ScoringNet::F32(_) => "f32",
-            ScoringNet::Int8(_) => "int8",
-        }
-    }
-
-    /// Resident weight bytes of this variant.
-    pub fn resident_bytes(&self) -> usize {
-        match self {
-            ScoringNet::F32(m) => m
-                .net
-                .params()
-                .iter()
-                .map(|p| std::mem::size_of_val(p.w.data()))
-                .sum(),
-            ScoringNet::Int8(m) => m.resident_bytes(),
-        }
-    }
-
-    /// The f32 model, or `None` when quantized. Training, re-training and
-    /// checkpoint encoding go through this.
-    pub fn f32(&self) -> Option<&VectorLstm> {
-        match self {
-            ScoringNet::F32(m) => Some(m),
-            ScoringNet::Int8(_) => None,
-        }
-    }
-
-    fn begin_stream(&self) -> NetStream {
-        match self {
-            ScoringNet::F32(m) => NetStream::F32(m.begin_stream()),
-            ScoringNet::Int8(m) => NetStream::Int8(m.begin_stream()),
-        }
-    }
-
-    fn stream_push(&self, st: &mut NetStream, sample: &[f32]) -> Option<f64> {
-        match (self, st) {
-            (ScoringNet::F32(m), NetStream::F32(s)) => m.stream_push(s, sample),
-            (ScoringNet::Int8(m), NetStream::Int8(s)) => m.stream_push(s, sample),
-            _ => panic!("lead stream was begun under a different scoring-net variant"),
-        }
-    }
-
-    fn begin_stream_batch(&self, slots: usize) -> NetStreamBatch {
-        match self {
-            ScoringNet::F32(m) => NetStreamBatch::F32(m.begin_stream_batch(slots)),
-            ScoringNet::Int8(m) => NetStreamBatch::Int8(m.begin_stream_batch(slots)),
-        }
-    }
-
-    /// Returns how many rows the first-step table served (always 0 for
-    /// the int8 net, which has none).
-    fn stream_push_rows(
-        &self,
-        sb: &mut NetStreamBatch,
-        rows: &[usize],
-        scores: &mut Vec<Option<f64>>,
-    ) -> usize {
-        match (self, sb) {
-            (ScoringNet::F32(m), NetStreamBatch::F32(s)) => m.stream_push_rows(s, rows, scores),
-            (ScoringNet::Int8(m), NetStreamBatch::Int8(s)) => {
-                m.stream_push_rows(s, rows, scores);
-                0
-            }
-            _ => panic!("lead batch was begun under a different scoring-net variant"),
-        }
-    }
-
-    /// O(n²) batch scorer over every prefix of `seq` (replay oracle).
-    pub fn score_stream_batch(&self, seq: &[Vec<f32>]) -> Vec<f64> {
-        match self {
-            ScoringNet::F32(m) => m.score_stream_batch(seq),
-            ScoringNet::Int8(m) => m.score_stream_batch(seq),
-        }
-    }
-}
-
-/// Carried recurrent state matching the [`ScoringNet`] variant it was
-/// begun under.
-#[derive(Debug, Clone)]
-enum NetStream {
-    F32(VectorStream),
-    Int8(QuantizedVectorStream),
-}
-
-/// Slot-resident batch of carried recurrent states, matching the
-/// [`ScoringNet`] variant it was begun under.
-#[derive(Debug)]
-enum NetStreamBatch {
-    F32(VectorStreamBatch),
-    Int8(QuantizedVectorStreamBatch),
-}
-
-impl NetStreamBatch {
-    fn input_row_mut(&mut self, slot: usize) -> &mut [f32] {
-        match self {
-            NetStreamBatch::F32(b) => b.input_row_mut(slot),
-            NetStreamBatch::Int8(b) => b.input_row_mut(slot),
-        }
-    }
-
-    fn reset_slot(&mut self, slot: usize) {
-        match self {
-            NetStreamBatch::F32(b) => b.reset_slot(slot),
-            NetStreamBatch::Int8(b) => b.reset_slot(slot),
-        }
-    }
-}
 
 /// The trained lead-time model plus the encoding constants that must
 /// travel with it to inference.
 #[derive(Debug, Clone)]
 pub struct LeadTimeModel {
-    /// The (ΔT, one-hot phrase) regressor — f32 or int8-quantized.
-    pub net: ScoringNet,
+    /// The (ΔT, one-hot phrase) regressor.
+    pub net: VectorLstm,
     /// Seconds scale for the ΔT channel.
     pub dt_scale: f32,
     /// Vocabulary size; the one-hot block width.
@@ -194,8 +59,7 @@ impl LeadTimeModel {
     /// of `(time, phrase)` events: its newest `history` events, with ΔT
     /// counted down to the newest (the form phase 2 trains on), are
     /// encoded straight into `sw`, and the ΔT channel of the predicted
-    /// next sample is the lead. The f32 net runs
-    /// [`VectorLstm::predict_next_ws`], the int8 net `predict_next`.
+    /// next sample ([`VectorLstm::predict_next_ws`]) is the lead.
     pub fn predict_lead(&self, events: &[(Micros, u32)], sw: &mut WindowScratch) -> f64 {
         let newest = events.last().expect("an episode holds an event").0;
         let dim = self.vocab_size + 1;
@@ -204,13 +68,7 @@ impl LeadTimeModel {
             let secs = newest.saturating_sub(t).as_secs_f64();
             write_sample(sw.push_row(dim), secs, p, self.dt_scale, self.vocab_size);
         }
-        let next_dt = match &self.net {
-            ScoringNet::F32(m) => m.predict_next_ws(self.history, sw)[0],
-            ScoringNet::Int8(m) => {
-                let window: Vec<&[f32]> = sw.rows().chunks(dim).collect();
-                m.predict_next(&window, self.history)[0]
-            }
-        };
+        let next_dt = self.net.predict_next_ws(self.history, sw)[0];
         self.denormalize_dt(next_dt)
     }
 
@@ -223,23 +81,6 @@ impl LeadTimeModel {
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
             .map(|(i, _)| i as u32)
             .unwrap_or(0)
-    }
-
-    /// Quantize the scoring network to int8 weights. The result carries
-    /// the same encoding constants and losses but holds no f32 weight
-    /// tensors; it can score streams and predict, not retrain.
-    pub fn quantize(&self) -> LeadTimeModel {
-        let qnet = match &self.net {
-            ScoringNet::F32(m) => QuantizedVectorLstm::from_f32(m),
-            ScoringNet::Int8(m) => m.clone(),
-        };
-        LeadTimeModel {
-            net: ScoringNet::Int8(qnet),
-            dt_scale: self.dt_scale,
-            vocab_size: self.vocab_size,
-            history: self.history,
-            losses: self.losses.clone(),
-        }
     }
 
     /// Begin an incremental scoring stream for one node's event buffer.
@@ -365,7 +206,7 @@ impl LeadTimeModel {
 /// the online detector O(1) per event.
 #[derive(Debug, Clone)]
 pub struct LeadStream {
-    stream: NetStream,
+    stream: VectorStream,
     last_time: Option<Micros>,
     sum: f64,
     transitions: usize,
@@ -395,7 +236,7 @@ struct SlotAgg {
 /// [`LeadStream`] per slot (test-gated).
 #[derive(Debug)]
 pub struct LeadBatch {
-    net: NetStreamBatch,
+    net: VectorStreamBatch,
     slots: Vec<SlotAgg>,
 }
 
@@ -522,7 +363,7 @@ pub fn run_phase2_session(
         return Err(d);
     }
     Ok(LeadTimeModel {
-        net: ScoringNet::F32(model),
+        net: model,
         dt_scale: cfg.dt_scale,
         vocab_size,
         history: cfg.history,
@@ -588,8 +429,7 @@ mod tests {
         let mut n = 0usize;
         for c in &chains {
             let seq = chain_to_vectors(c, m.dt_scale, vocab);
-            let f32_net = m.net.f32().expect("training produces the f32 variant");
-            for s in f32_net.score_sequence(&seq, m.history) {
+            for s in m.net.score_sequence(&seq, m.history) {
                 total += s;
                 n += 1;
             }
@@ -680,6 +520,5 @@ mod tests {
         cfg.epochs = 2;
         let m = run_phase2(&chains, vocab, &cfg, &mut rng);
         assert_lead_batch_matches_streams(&m);
-        assert_lead_batch_matches_streams(&m.quantize());
     }
 }

@@ -120,11 +120,7 @@ fn score_episode(
     if let Some(w) = wf.as_deref_mut() {
         w.mark(P3_STAGE_ENCODE);
     }
-    let raw = model
-        .net
-        .f32()
-        .expect("batch phase-3 scoring runs on the f32 training model")
-        .score_sequence_ws(&seq, model.history, sw);
+    let raw = model.net.score_sequence_ws(&seq, model.history, sw);
     if let Some(w) = wf.as_deref_mut() {
         w.mark(P3_STAGE_PREDICT);
     }
@@ -240,11 +236,7 @@ pub fn run_phase3_profiled(
         .par_iter()
         .map(|ep| {
             let t0 = score_hist.as_ref().map(|_| Instant::now());
-            let mut sw = model
-                .net
-                .f32()
-                .expect("batch phase-3 scoring runs on the f32 training model")
-                .workspace();
+            let mut sw = model.net.workspace();
             let mut wf = profiler.and_then(|p| p.begin());
             let (flagged, score, predicted_lead_secs) =
                 score_episode(model, ep, cfg, &mut sw, wf.as_mut());

@@ -78,20 +78,6 @@ impl TrainedDesh {
         det.attach_chains(&self.phase1.chains);
         det
     }
-
-    /// [`TrainedDesh::online_detector`] over the int8-quantized scoring
-    /// net: the detector holds only the quantized weights (~4× smaller
-    /// resident model), scoring through the i8 GEMV kernels.
-    pub fn quantized_detector(&self, cfg: DeshConfig, telemetry: &Telemetry) -> OnlineDetector {
-        let mut det = OnlineDetector::with_telemetry(
-            self.lead_model.quantize(),
-            self.parsed_train.vocab.clone(),
-            cfg,
-            telemetry,
-        );
-        det.attach_chains(&self.phase1.chains);
-        det
-    }
 }
 
 impl Desh {

@@ -19,10 +19,9 @@
 //!   aarch64 host). The capsule records the backend; replay errors on a
 //!   mismatch unless explicitly overridden — at which point divergence is
 //!   expected and the diff shows where it starts.
-//! - **Precision pinning.** A capsule captured on the int8 path replays
-//!   through [`LeadTimeModel::quantize`] (deterministic from the same f32
-//!   checkpoint). An f32 capsule cannot be replayed through an int8
-//!   checkpoint — the widening is lossy — so that combination errors.
+//! - **Precision.** Scoring is f32 only. The capsule's `precision` field
+//!   stays in the format, always `f32`; a capsule carrying anything else
+//!   is refused with an error that names the value.
 //! - **Vocab alignment.** Novel templates interned live (multi-node
 //!   interleaving) may occupy ids the replayed subset would assign
 //!   differently. Replay pads the vocab with placeholder templates until
@@ -48,9 +47,6 @@ pub struct ReplayOptions {
     /// pinned backend. Divergence is then *expected*; use this to obtain
     /// the diff rather than to validate.
     pub allow_backend_mismatch: bool,
-    /// Proceed when the scoring precision cannot be matched (f32 capsule
-    /// replayed through an int8-only checkpoint).
-    pub allow_precision_mismatch: bool,
 }
 
 /// One field that differed between the captured and replayed decision.
@@ -95,8 +91,6 @@ pub struct ReplayReport {
     pub clean_start: bool,
     /// Backend the replay actually ran under.
     pub backend: String,
-    /// Precision the replay actually scored with.
-    pub precision: String,
     /// First divergence, if any. `None` means bit-exact agreement.
     pub divergence: Option<Divergence>,
 }
@@ -209,11 +203,10 @@ fn warning_deltas(cap: &WarningRecord, rep: &WarningRecord) -> Vec<FieldDelta> {
 /// Drive a fresh detector through `capsule`'s events and assert bit-exact
 /// agreement with the captured decisions. `model`, `vocab`, and `chains`
 /// come from the checkpoint the capsule references (resolved by the
-/// caller via `load_any_checkpoint`); precision is reconciled to the
-/// capsule's pinned value here.
+/// caller via `resolve_capsule_checkpoint`).
 pub fn replay_capsule(
     capsule: &Capsule,
-    mut model: LeadTimeModel,
+    model: LeadTimeModel,
     vocab: Arc<Vocab>,
     chains: &[FailureChain],
     opts: &ReplayOptions,
@@ -233,25 +226,12 @@ pub fn replay_capsule(
         ));
     }
 
-    // Precision pinning: int8 capsules replay through the deterministic
-    // f32→int8 quantizer; an f32 capsule cannot be recovered from an
-    // int8-only checkpoint.
-    let mut precision = model.net.precision();
-    match (meta.precision.as_str(), precision) {
-        ("int8", "f32") => {
-            model = model.quantize();
-            precision = "int8";
-        }
-        ("f32", "int8") if !opts.allow_precision_mismatch => {
-            return Err(
-                "precision mismatch: capsule was captured on the f32 scoring path but the \
-                 checkpoint loaded is int8-quantized (the widening is lossy, so f32 decisions \
-                 cannot be reproduced from it). Point replay at the f32 .dshm checkpoint or \
-                 pass --allow-precision-mismatch to diff anyway."
-                    .to_string(),
-            );
-        }
-        _ => {}
+    if meta.precision != "f32" {
+        return Err(format!(
+            "unsupported capsule precision '{}': int8 capsules are no longer supported; \
+             only f32 capsules replay",
+            meta.precision
+        ));
     }
 
     let cfg = capsule_config(meta);
@@ -288,7 +268,6 @@ pub fn replay_capsule(
         warnings_replayed: replayed_warnings.len(),
         clean_start: meta.clean_start,
         backend: live_backend.to_string(),
-        precision: precision.to_string(),
         divergence: None,
     };
 
@@ -408,12 +387,11 @@ pub fn replay_capsule(
 /// Human-readable replay summary (+ divergence diff when present).
 pub fn render_report(r: &ReplayReport) -> String {
     let mut s = format!(
-        "replayed {} events ({} traced) on backend {} ({}): \
+        "replayed {} events ({} traced) on backend {}: \
          {}/{} traces, {}/{} warnings reproduced\n",
         r.events,
         r.traces_captured,
         r.backend,
-        r.precision,
         r.traces_replayed,
         r.traces_captured,
         r.warnings_replayed,
@@ -502,7 +480,6 @@ mod tests {
             warnings_replayed: 1,
             clean_start: true,
             backend: "scalar".into(),
-            precision: "f32".into(),
             divergence: Some(Divergence {
                 index: 4,
                 node: "c0-0c0s0n1".into(),

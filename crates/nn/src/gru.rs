@@ -14,7 +14,7 @@
 //! h' = (1 - z) ⊙ n + z ⊙ h
 //! ```
 
-use crate::act::{dsigmoid_from_out, dtanh_from_out};
+use crate::act::{dsigmoid_from_out, dtanh_from_out, sigmoid};
 use crate::mat::Mat;
 use crate::param::Param;
 use desh_util::Xoshiro256pp;
@@ -112,9 +112,9 @@ impl GruLayer {
         let mut z = Mat::zeros(batch, hsz);
         let mut rh = Mat::zeros(batch, hsz);
         for row in 0..batch {
-            // Fused reset/update gate kernel; same per-element math as the
-            // inference path so the two stay bitwise consistent.
-            crate::simd::gru_gates_train_rz(
+            // Same per-element math as the inference path, so the two stay
+            // bitwise consistent.
+            gates_train_rz(
                 ws.pre.row(row),
                 ws.hw.row(row),
                 h_prev.row(row),
@@ -129,7 +129,7 @@ impl GruLayer {
         let mut n = Mat::zeros(batch, hsz);
         let mut h = Mat::zeros(batch, hsz);
         for row in 0..batch {
-            crate::simd::gru_gates_train_nh(
+            gates_train_nh(
                 ws.pre.row(row),
                 ws.rh_n.row(row),
                 h_prev.row(row),
@@ -153,8 +153,8 @@ impl GruLayer {
             ws.rh.reset(batch, hsz);
         }
         for row in 0..batch {
-            // Fused σ(pre_r + hw_r) ⊙ h pass per batch row.
-            crate::simd::gru_rh_step(
+            // σ(pre_r + hw_r) ⊙ h per batch row.
+            rh_step(
                 ws.pre.row(row),
                 ws.hw.row(row),
                 h.row(row),
@@ -164,7 +164,7 @@ impl GruLayer {
         ws.rh
             .matmul_cols_into(&self.wh.w, 2 * hsz, 3 * hsz, &mut ws.rh_n);
         for row in 0..batch {
-            crate::simd::gru_combine_step(
+            combine_step(
                 ws.pre.row(row),
                 ws.hw.row(row),
                 ws.rh_n.row(row),
@@ -314,6 +314,55 @@ impl GruLayer {
     /// Immutable view.
     pub fn params(&self) -> Vec<&Param> {
         vec![&self.wx, &self.wh, &self.b]
+    }
+}
+
+/// Reset-gate pass (inference): `rh[k] = σ(pr[k]+hw[k])·hp[k]`.
+fn rh_step(pr: &[f32], hw: &[f32], hp: &[f32], rh: &mut [f32]) {
+    for k in 0..rh.len() {
+        rh[k] = sigmoid(pr[k] + hw[k]) * hp[k];
+    }
+}
+
+/// Update/candidate combine (inference): `h[k] = (1−z)·n + z·h[k]` with
+/// `z = σ(pr[hsz+k]+hw[hsz+k])` and `n = tanh(pr[2·hsz+k]+rhn[k])`.
+fn combine_step(pr: &[f32], hw: &[f32], rhn: &[f32], h: &mut [f32]) {
+    let hsz = h.len();
+    for k in 0..hsz {
+        let zv = sigmoid(pr[hsz + k] + hw[hsz + k]);
+        let nv = (pr[2 * hsz + k] + rhn[k]).tanh();
+        h[k] = (1.0 - zv) * nv + zv * h[k];
+    }
+}
+
+/// Reset/update gates for the training tape: stores r, z and
+/// `rh = r ⊙ h_prev`.
+fn gates_train_rz(
+    pr: &[f32],
+    hw: &[f32],
+    hp: &[f32],
+    r: &mut [f32],
+    z: &mut [f32],
+    rh: &mut [f32],
+) {
+    let hsz = rh.len();
+    for k in 0..hsz {
+        let rv = sigmoid(pr[k] + hw[k]);
+        r[k] = rv;
+        z[k] = sigmoid(pr[hsz + k] + hw[hsz + k]);
+        rh[k] = rv * hp[k];
+    }
+}
+
+/// Candidate/output for the training tape: stores n and h from the
+/// already-computed z row.
+fn gates_train_nh(pr: &[f32], rhn: &[f32], hp: &[f32], z: &[f32], n: &mut [f32], h: &mut [f32]) {
+    let hsz = h.len();
+    for k in 0..hsz {
+        let nv = (pr[2 * hsz + k] + rhn[k]).tanh();
+        n[k] = nv;
+        let zv = z[k];
+        h[k] = (1.0 - zv) * nv + zv * hp[k];
     }
 }
 

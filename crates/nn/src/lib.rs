@@ -21,10 +21,7 @@
 //!   bit-for-bit reproducible at any thread count.
 //! * [`simd`] — runtime-dispatched SIMD micro-kernels (AVX2/FMA on x86_64,
 //!   NEON on aarch64, scalar fallback via `DESH_SIMD=off`) behind the GEMM,
-//!   GEMV and fused-gate paths.
-//! * [`quant`] — int8 symmetric per-tensor quantized inference models
-//!   ([`quant::QuantizedVectorLstm`]) with f32 accumulation, ~4× smaller
-//!   resident weights for the online scoring path.
+//!   GEMV and fused LSTM-gate paths.
 //!
 //! Everything is deterministic given a [`desh_util::Xoshiro256pp`] seed, and
 //! every layer's backward pass is covered by numerical gradient checks in
@@ -43,7 +40,6 @@ pub mod observe;
 pub mod optim;
 pub mod parallel;
 pub mod param;
-pub mod quant;
 pub mod schedule;
 pub mod serialize;
 pub mod sgns;
@@ -64,10 +60,6 @@ pub use observe::{NoopObserver, ParamStats, RecordingObserver, ShardStats, Train
 pub use optim::{nonfinite_grad_count, Adam, Optimizer, RmsProp, Sgd};
 pub use parallel::{shard_count, GradSet};
 pub use param::Param;
-pub use quant::{
-    QuantMat, QuantizedStackedLstm, QuantizedVectorLstm, QuantizedVectorStream,
-    QuantizedVectorStreamBatch,
-};
 pub use schedule::{Constant, Cosine, Schedule, StepDecay, Warmup};
 pub use sgns::{SgnsConfig, SkipGram};
 pub use simd::{backend as kernel_backend, backend_name as kernel_backend_name, Backend};

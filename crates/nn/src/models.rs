@@ -496,6 +496,14 @@ impl VectorLstm {
         self.dim
     }
 
+    /// This net, always present. A shim for callers written when the
+    /// scoring net could also be int8 (the benchmark's traced pass,
+    /// `perfbench/src/traced.rs`, still reads `model.net.f32()`); new
+    /// code uses the net directly.
+    pub fn f32(&self) -> Option<&VectorLstm> {
+        Some(self)
+    }
+
     /// Left-pad a window to `history` samples with zero vectors; failure
     /// chains can be shorter than the history size.
     fn window_mats(&self, window: &[&[f32]], history: usize) -> Vec<Mat> {

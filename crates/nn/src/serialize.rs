@@ -22,13 +22,26 @@ fn put_mat(e: &mut Encoder, m: &Mat) {
 }
 
 fn get_mat(d: &mut Decoder) -> Result<Mat, CodecError> {
-    let rows = d.u64()? as usize;
-    let cols = d.u64()? as usize;
+    let rows = d.u64()?;
+    let cols = d.u64()?;
     let data = d.f32_vec()?;
-    if data.len() != rows * cols {
+    if rows.checked_mul(cols) != Some(data.len() as u64) {
         return Err(CodecError::LengthOverflow(data.len() as u64));
     }
-    Ok(Mat::from_vec(rows, cols, data))
+    Ok(Mat::from_vec(rows as usize, cols as usize, data))
+}
+
+/// Reject a decoded tensor whose shape is not `rows × cols`.
+fn expect_shape(p: &Param, rows: usize, cols: usize) -> Result<(), CodecError> {
+    if p.w.shape() == (rows, cols) {
+        return Ok(());
+    }
+    Err(CodecError::BadShape(format!(
+        "{} is {}x{}, expected {rows}x{cols}",
+        p.name,
+        p.w.rows(),
+        p.w.cols()
+    )))
 }
 
 fn put_param(e: &mut Encoder, p: &Param) {
@@ -69,8 +82,16 @@ fn get_lstm_layer(d: &mut Decoder) -> Result<LstmLayer, CodecError> {
     let wx = get_param(d)?;
     let wh = get_param(d)?;
     let b = get_param(d)?;
-    // Rebuild through the constructor to restore private dims, then swap in
-    // the stored weights.
+    let gates = hidden
+        .checked_mul(4)
+        .filter(|_| input > 0 && hidden > 0)
+        .ok_or_else(|| CodecError::BadShape(format!("lstm dims {input}x{hidden}")))?;
+    expect_shape(&wx, input, gates)?;
+    expect_shape(&wh, hidden, gates)?;
+    expect_shape(&b, 1, gates)?;
+    // Rebuild through the constructor to restore private dims (the shapes
+    // above bound its allocation by the bytes read), then swap in the
+    // stored weights.
     let mut rng = desh_util::Xoshiro256pp::seed_from_u64(0);
     let mut layer = LstmLayer::new(input, hidden, "loaded", &mut rng);
     layer.wx = wx;
@@ -87,13 +108,35 @@ fn put_stacked(e: &mut Encoder, net: &StackedLstm) {
     put_dense(e, &net.head);
 }
 
+/// A stacked net whose layers chain: one or more layers of one hidden
+/// width, each fed by the one below, under a head reading that width.
 fn get_stacked(d: &mut Decoder) -> Result<StackedLstm, CodecError> {
-    let n = d.u64()? as usize;
-    let mut layers = Vec::with_capacity(n);
+    // Each layer starts with its two u64 dims.
+    let n = d.count(16)?;
+    if n == 0 {
+        return Err(CodecError::BadShape("stacked net without layers".into()));
+    }
+    let mut layers: Vec<LstmLayer> = Vec::with_capacity(n);
     for _ in 0..n {
-        layers.push(get_lstm_layer(d)?);
+        let layer = get_lstm_layer(d)?;
+        if let Some(below) = layers.last() {
+            let h = below.hidden_dim();
+            if (layer.input_dim(), layer.hidden_dim()) != (h, h) {
+                return Err(CodecError::BadShape(format!(
+                    "layer {} is {}x{} over hidden width {h}",
+                    layers.len(),
+                    layer.input_dim(),
+                    layer.hidden_dim()
+                )));
+            }
+        }
+        layers.push(layer);
     }
     let head = get_dense(d)?;
+    let hidden = layers[0].hidden_dim();
+    let out = head.output_dim();
+    expect_shape(&head.w, hidden, out)?;
+    expect_shape(&head.b, 1, out)?;
     Ok(StackedLstm { layers, head })
 }
 
@@ -150,6 +193,13 @@ impl VectorLstm {
         }
         let dim = d.u64()? as usize;
         let net = get_stacked(&mut d)?;
+        if (net.input_dim(), net.output_dim()) != (dim, dim) {
+            return Err(CodecError::BadShape(format!(
+                "net {}->{} for {dim}-wide samples",
+                net.input_dim(),
+                net.output_dim()
+            )));
+        }
         let mut rng = desh_util::Xoshiro256pp::seed_from_u64(0);
         let mut model = VectorLstm::new(dim, net.hidden_dim(), net.depth(), &mut rng);
         model.net = net;

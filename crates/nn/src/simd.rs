@@ -1,5 +1,5 @@
 //! Runtime-dispatched SIMD micro-kernels for the GEMM/GEMV hot paths and
-//! the fused LSTM/GRU gate activations.
+//! the fused LSTM gate activations.
 //!
 //! Every kernel here exists in (up to) three variants selected once per
 //! process by [`backend`]:
@@ -209,22 +209,6 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     dispatch!(dot(a, b))
 }
 
-/// Int8-weight GEMV accumulate with f32 accumulation:
-/// `out[0..n] += Σ_k a[k] · scale · q[k, lo..lo+n]` where `q` has row
-/// stride `qcols`. The per-tensor `scale` is folded into the broadcast
-/// activation, so the inner loop is widen-convert + FMA.
-pub(crate) fn gemv_i8_acc(
-    a: &[f32],
-    q: &[i8],
-    qcols: usize,
-    lo: usize,
-    n: usize,
-    scale: f32,
-    out: &mut [f32],
-) {
-    dispatch!(gemv_i8_acc(a, q, qcols, lo, n, scale, out))
-}
-
 /// Fused LSTM gate activations for one batch row of the inference path:
 /// reads the `[i|f|g|o]` pre-activation row (len `4*hsz`) and updates the
 /// cell and hidden rows in place.
@@ -247,44 +231,6 @@ pub(crate) fn lstm_gates_train(
     h: &mut [f32],
 ) {
     dispatch!(lstm_gates_train(pre, c_prev, i, f, g, o, c, h))
-}
-
-/// Fused GRU reset-gate pass (inference): `rh[k] = σ(pr[k]+hw[k])·hp[k]`.
-pub(crate) fn gru_rh_step(pr: &[f32], hw: &[f32], hp: &[f32], rh: &mut [f32]) {
-    dispatch!(gru_rh_step(pr, hw, hp, rh))
-}
-
-/// Fused GRU update/candidate combine (inference):
-/// `h[k] = (1−z)·n + z·h[k]` with `z = σ(pr[hsz+k]+hw[hsz+k])` and
-/// `n = tanh(pr[2·hsz+k]+rhn[k])`.
-pub(crate) fn gru_combine_step(pr: &[f32], hw: &[f32], rhn: &[f32], h: &mut [f32]) {
-    dispatch!(gru_combine_step(pr, hw, rhn, h))
-}
-
-/// Fused GRU reset/update gates for the training tape: stores r, z and
-/// `rh = r ⊙ h_prev`.
-pub(crate) fn gru_gates_train_rz(
-    pr: &[f32],
-    hw: &[f32],
-    hp: &[f32],
-    r: &mut [f32],
-    z: &mut [f32],
-    rh: &mut [f32],
-) {
-    dispatch!(gru_gates_train_rz(pr, hw, hp, r, z, rh))
-}
-
-/// Fused GRU candidate/output for the training tape: stores n and h from
-/// the already-computed z row.
-pub(crate) fn gru_gates_train_nh(
-    pr: &[f32],
-    rhn: &[f32],
-    hp: &[f32],
-    z: &[f32],
-    n: &mut [f32],
-    h: &mut [f32],
-) {
-    dispatch!(gru_gates_train_nh(pr, rhn, hp, z, n, h))
 }
 
 // ---------------------------------------------------------------------------
@@ -408,28 +354,6 @@ mod scalar {
         s
     }
 
-    pub(super) fn gemv_i8_acc(
-        a: &[f32],
-        q: &[i8],
-        qcols: usize,
-        lo: usize,
-        n: usize,
-        scale: f32,
-        out: &mut [f32],
-    ) {
-        let out = &mut out[..n];
-        for (kk, &av) in a.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let av = av * scale;
-            let qrow = &q[kk * qcols + lo..kk * qcols + lo + n];
-            for (o, &qv) in out.iter_mut().zip(qrow) {
-                *o += av * qv as f32;
-            }
-        }
-    }
-
     pub(super) fn lstm_gates_step(pre: &[f32], c: &mut [f32], h: &mut [f32]) {
         let hsz = c.len();
         for k in 0..hsz {
@@ -469,55 +393,6 @@ mod scalar {
             o[k] = ov;
             c[k] = cv;
             h[k] = ov * cv.tanh();
-        }
-    }
-
-    pub(super) fn gru_rh_step(pr: &[f32], hw: &[f32], hp: &[f32], rh: &mut [f32]) {
-        for k in 0..rh.len() {
-            rh[k] = sigmoid(pr[k] + hw[k]) * hp[k];
-        }
-    }
-
-    pub(super) fn gru_combine_step(pr: &[f32], hw: &[f32], rhn: &[f32], h: &mut [f32]) {
-        let hsz = h.len();
-        for k in 0..hsz {
-            let zv = sigmoid(pr[hsz + k] + hw[hsz + k]);
-            let nv = (pr[2 * hsz + k] + rhn[k]).tanh();
-            h[k] = (1.0 - zv) * nv + zv * h[k];
-        }
-    }
-
-    pub(super) fn gru_gates_train_rz(
-        pr: &[f32],
-        hw: &[f32],
-        hp: &[f32],
-        r: &mut [f32],
-        z: &mut [f32],
-        rh: &mut [f32],
-    ) {
-        let hsz = rh.len();
-        for k in 0..hsz {
-            let rv = sigmoid(pr[k] + hw[k]);
-            r[k] = rv;
-            z[k] = sigmoid(pr[hsz + k] + hw[hsz + k]);
-            rh[k] = rv * hp[k];
-        }
-    }
-
-    pub(super) fn gru_gates_train_nh(
-        pr: &[f32],
-        rhn: &[f32],
-        hp: &[f32],
-        z: &[f32],
-        n: &mut [f32],
-        h: &mut [f32],
-    ) {
-        let hsz = h.len();
-        for k in 0..hsz {
-            let nv = (pr[2 * hsz + k] + rhn[k]).tanh();
-            n[k] = nv;
-            let zv = z[k];
-            h[k] = (1.0 - zv) * nv + zv * hp[k];
         }
     }
 }
@@ -955,40 +830,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn gemv_i8_acc(
-        a: &[f32],
-        q: &[i8],
-        qcols: usize,
-        lo: usize,
-        n: usize,
-        scale: f32,
-        out: &mut [f32],
-    ) {
-        let out = &mut out[..n];
-        let n8 = n - n % 8;
-        for (kk, &av) in a.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let avs = av * scale;
-            let avv = _mm256_set1_ps(avs);
-            let qrow = q.as_ptr().add(kk * qcols + lo);
-            let mut j = 0;
-            while j < n8 {
-                // 8 × i8 → i32 → f32, then FMA into the accumulator row.
-                let qi = _mm_loadl_epi64(qrow.add(j) as *const __m128i);
-                let qf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qi));
-                let acc = _mm256_loadu_ps(out.as_ptr().add(j));
-                _mm256_storeu_ps(out.as_mut_ptr().add(j), _mm256_fmadd_ps(avv, qf, acc));
-                j += 8;
-            }
-            for (j, o) in out.iter_mut().enumerate().skip(n8) {
-                *o += avs * *qrow.add(j) as f32;
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn lstm_gates_step(pre: &[f32], c: &mut [f32], h: &mut [f32]) {
         let hsz = c.len();
         let h8 = hsz - hsz % 8;
@@ -1063,127 +904,6 @@ mod avx2 {
             o[k] = ov;
             c[k] = cv;
             h[k] = ov * cv.tanh();
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn gru_rh_step(pr: &[f32], hw: &[f32], hp: &[f32], rh: &mut [f32]) {
-        let hsz = rh.len();
-        let h8 = hsz - hsz % 8;
-        let mut k = 0;
-        while k < h8 {
-            let r = sigmoid8(_mm256_add_ps(
-                _mm256_loadu_ps(pr.as_ptr().add(k)),
-                _mm256_loadu_ps(hw.as_ptr().add(k)),
-            ));
-            _mm256_storeu_ps(
-                rh.as_mut_ptr().add(k),
-                _mm256_mul_ps(r, _mm256_loadu_ps(hp.as_ptr().add(k))),
-            );
-            k += 8;
-        }
-        for k in h8..hsz {
-            rh[k] = sigmoid(pr[k] + hw[k]) * hp[k];
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn gru_combine_step(pr: &[f32], hw: &[f32], rhn: &[f32], h: &mut [f32]) {
-        let hsz = h.len();
-        let h8 = hsz - hsz % 8;
-        let one = _mm256_set1_ps(1.0);
-        let mut k = 0;
-        while k < h8 {
-            let z = sigmoid8(_mm256_add_ps(
-                _mm256_loadu_ps(pr.as_ptr().add(hsz + k)),
-                _mm256_loadu_ps(hw.as_ptr().add(hsz + k)),
-            ));
-            let n = tanh8(_mm256_add_ps(
-                _mm256_loadu_ps(pr.as_ptr().add(2 * hsz + k)),
-                _mm256_loadu_ps(rhn.as_ptr().add(k)),
-            ));
-            let hv = _mm256_loadu_ps(h.as_ptr().add(k));
-            let nv = _mm256_mul_ps(_mm256_sub_ps(one, z), n);
-            _mm256_storeu_ps(h.as_mut_ptr().add(k), _mm256_fmadd_ps(z, hv, nv));
-            k += 8;
-        }
-        for k in h8..hsz {
-            let zv = sigmoid(pr[hsz + k] + hw[hsz + k]);
-            let nv = (pr[2 * hsz + k] + rhn[k]).tanh();
-            h[k] = (1.0 - zv) * nv + zv * h[k];
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn gru_gates_train_rz(
-        pr: &[f32],
-        hw: &[f32],
-        hp: &[f32],
-        r: &mut [f32],
-        z: &mut [f32],
-        rh: &mut [f32],
-    ) {
-        let hsz = rh.len();
-        let h8 = hsz - hsz % 8;
-        let mut k = 0;
-        while k < h8 {
-            let rv = sigmoid8(_mm256_add_ps(
-                _mm256_loadu_ps(pr.as_ptr().add(k)),
-                _mm256_loadu_ps(hw.as_ptr().add(k)),
-            ));
-            let zv = sigmoid8(_mm256_add_ps(
-                _mm256_loadu_ps(pr.as_ptr().add(hsz + k)),
-                _mm256_loadu_ps(hw.as_ptr().add(hsz + k)),
-            ));
-            _mm256_storeu_ps(r.as_mut_ptr().add(k), rv);
-            _mm256_storeu_ps(z.as_mut_ptr().add(k), zv);
-            _mm256_storeu_ps(
-                rh.as_mut_ptr().add(k),
-                _mm256_mul_ps(rv, _mm256_loadu_ps(hp.as_ptr().add(k))),
-            );
-            k += 8;
-        }
-        for k in h8..hsz {
-            let rv = sigmoid(pr[k] + hw[k]);
-            r[k] = rv;
-            z[k] = sigmoid(pr[hsz + k] + hw[hsz + k]);
-            rh[k] = rv * hp[k];
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn gru_gates_train_nh(
-        pr: &[f32],
-        rhn: &[f32],
-        hp: &[f32],
-        z: &[f32],
-        n: &mut [f32],
-        h: &mut [f32],
-    ) {
-        let hsz = h.len();
-        let h8 = hsz - hsz % 8;
-        let one = _mm256_set1_ps(1.0);
-        let mut k = 0;
-        while k < h8 {
-            let nv = tanh8(_mm256_add_ps(
-                _mm256_loadu_ps(pr.as_ptr().add(2 * hsz + k)),
-                _mm256_loadu_ps(rhn.as_ptr().add(k)),
-            ));
-            let zv = _mm256_loadu_ps(z.as_ptr().add(k));
-            _mm256_storeu_ps(n.as_mut_ptr().add(k), nv);
-            let mixed = _mm256_fmadd_ps(
-                zv,
-                _mm256_loadu_ps(hp.as_ptr().add(k)),
-                _mm256_mul_ps(_mm256_sub_ps(one, zv), nv),
-            );
-            _mm256_storeu_ps(h.as_mut_ptr().add(k), mixed);
-            k += 8;
-        }
-        for k in h8..hsz {
-            let nv = (pr[2 * hsz + k] + rhn[k]).tanh();
-            n[k] = nv;
-            let zv = z[k];
-            h[k] = (1.0 - zv) * nv + zv * hp[k];
         }
     }
 }
@@ -1393,42 +1113,6 @@ mod neon {
         s
     }
 
-    pub(super) unsafe fn gemv_i8_acc(
-        a: &[f32],
-        q: &[i8],
-        qcols: usize,
-        lo: usize,
-        n: usize,
-        scale: f32,
-        out: &mut [f32],
-    ) {
-        let out = &mut out[..n];
-        let n8 = n - n % 8;
-        for (kk, &av) in a.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let avs = av * scale;
-            let avv = vdupq_n_f32(avs);
-            let qrow = q.as_ptr().add(kk * qcols + lo);
-            let mut j = 0;
-            while j < n8 {
-                let qi = vld1_s8(qrow.add(j));
-                let qw = vmovl_s8(qi);
-                let qlo = vcvtq_f32_s32(vmovl_s16(vget_low_s16(qw)));
-                let qhi = vcvtq_f32_s32(vmovl_s16(vget_high_s16(qw)));
-                let acc0 = vld1q_f32(out.as_ptr().add(j));
-                let acc1 = vld1q_f32(out.as_ptr().add(j + 4));
-                vst1q_f32(out.as_mut_ptr().add(j), vfmaq_f32(acc0, avv, qlo));
-                vst1q_f32(out.as_mut_ptr().add(j + 4), vfmaq_f32(acc1, avv, qhi));
-                j += 8;
-            }
-            for (j, o) in out.iter_mut().enumerate().skip(n8) {
-                *o += avs * *qrow.add(j) as f32;
-            }
-        }
-    }
-
     pub(super) unsafe fn lstm_gates_step(pre: &[f32], c: &mut [f32], h: &mut [f32]) {
         let hsz = c.len();
         let h4 = hsz - hsz % 4;
@@ -1496,123 +1180,6 @@ mod neon {
             o[k] = ov;
             c[k] = cv;
             h[k] = ov * cv.tanh();
-        }
-    }
-
-    pub(super) unsafe fn gru_rh_step(pr: &[f32], hw: &[f32], hp: &[f32], rh: &mut [f32]) {
-        let hsz = rh.len();
-        let h4 = hsz - hsz % 4;
-        let mut k = 0;
-        while k < h4 {
-            let r = sigmoid4(vaddq_f32(
-                vld1q_f32(pr.as_ptr().add(k)),
-                vld1q_f32(hw.as_ptr().add(k)),
-            ));
-            vst1q_f32(
-                rh.as_mut_ptr().add(k),
-                vmulq_f32(r, vld1q_f32(hp.as_ptr().add(k))),
-            );
-            k += 4;
-        }
-        for k in h4..hsz {
-            rh[k] = sigmoid(pr[k] + hw[k]) * hp[k];
-        }
-    }
-
-    pub(super) unsafe fn gru_combine_step(pr: &[f32], hw: &[f32], rhn: &[f32], h: &mut [f32]) {
-        let hsz = h.len();
-        let h4 = hsz - hsz % 4;
-        let one = vdupq_n_f32(1.0);
-        let mut k = 0;
-        while k < h4 {
-            let z = sigmoid4(vaddq_f32(
-                vld1q_f32(pr.as_ptr().add(hsz + k)),
-                vld1q_f32(hw.as_ptr().add(hsz + k)),
-            ));
-            let n = tanh4(vaddq_f32(
-                vld1q_f32(pr.as_ptr().add(2 * hsz + k)),
-                vld1q_f32(rhn.as_ptr().add(k)),
-            ));
-            let hv = vld1q_f32(h.as_ptr().add(k));
-            let nv = vmulq_f32(vsubq_f32(one, z), n);
-            vst1q_f32(h.as_mut_ptr().add(k), vfmaq_f32(nv, z, hv));
-            k += 4;
-        }
-        for k in h4..hsz {
-            let zv = sigmoid(pr[hsz + k] + hw[hsz + k]);
-            let nv = (pr[2 * hsz + k] + rhn[k]).tanh();
-            h[k] = (1.0 - zv) * nv + zv * h[k];
-        }
-    }
-
-    pub(super) unsafe fn gru_gates_train_rz(
-        pr: &[f32],
-        hw: &[f32],
-        hp: &[f32],
-        r: &mut [f32],
-        z: &mut [f32],
-        rh: &mut [f32],
-    ) {
-        let hsz = rh.len();
-        let h4 = hsz - hsz % 4;
-        let mut k = 0;
-        while k < h4 {
-            let rv = sigmoid4(vaddq_f32(
-                vld1q_f32(pr.as_ptr().add(k)),
-                vld1q_f32(hw.as_ptr().add(k)),
-            ));
-            let zv = sigmoid4(vaddq_f32(
-                vld1q_f32(pr.as_ptr().add(hsz + k)),
-                vld1q_f32(hw.as_ptr().add(hsz + k)),
-            ));
-            vst1q_f32(r.as_mut_ptr().add(k), rv);
-            vst1q_f32(z.as_mut_ptr().add(k), zv);
-            vst1q_f32(
-                rh.as_mut_ptr().add(k),
-                vmulq_f32(rv, vld1q_f32(hp.as_ptr().add(k))),
-            );
-            k += 4;
-        }
-        for k in h4..hsz {
-            let rv = sigmoid(pr[k] + hw[k]);
-            r[k] = rv;
-            z[k] = sigmoid(pr[hsz + k] + hw[hsz + k]);
-            rh[k] = rv * hp[k];
-        }
-    }
-
-    pub(super) unsafe fn gru_gates_train_nh(
-        pr: &[f32],
-        rhn: &[f32],
-        hp: &[f32],
-        z: &[f32],
-        n: &mut [f32],
-        h: &mut [f32],
-    ) {
-        let hsz = h.len();
-        let h4 = hsz - hsz % 4;
-        let one = vdupq_n_f32(1.0);
-        let mut k = 0;
-        while k < h4 {
-            let nv = tanh4(vaddq_f32(
-                vld1q_f32(pr.as_ptr().add(2 * hsz + k)),
-                vld1q_f32(rhn.as_ptr().add(k)),
-            ));
-            let zv = vld1q_f32(z.as_ptr().add(k));
-            vst1q_f32(n.as_mut_ptr().add(k), nv);
-            let mixed = vfmaq_f32(
-                vmulq_f32(vsubq_f32(one, zv), nv),
-                zv,
-                vld1q_f32(hp.as_ptr().add(k)),
-            );
-            vst1q_f32(h.as_mut_ptr().add(k), mixed);
-            k += 4;
-        }
-        for k in h4..hsz {
-            let nv = (pr[2 * hsz + k] + rhn[k]).tanh();
-            n[k] = nv;
-            let zv = z[k];
-            h[k] = (1.0 - zv) * nv + zv * hp[k];
         }
     }
 }
@@ -1781,58 +1348,6 @@ mod tests {
             );
             assert_eq!(c_v, c_t);
             assert_eq!(h_v, h_t);
-        }
-        set_backend(native);
-    }
-
-    #[test]
-    fn fused_gru_gates_match_scalar_reference() {
-        let native = backend();
-        let mut rng = Xoshiro256pp::seed_from_u64(11);
-        for &hsz in &[1usize, 5, 16, 37] {
-            let pr = randv(&mut rng, 3 * hsz, -3.0, 3.0);
-            let hw = randv(&mut rng, 3 * hsz, -3.0, 3.0);
-            let rhn = randv(&mut rng, hsz, -3.0, 3.0);
-            let hp = randv(&mut rng, hsz, -1.0, 1.0);
-            let mut rh_s = vec![0.0f32; hsz];
-            let mut h_s = hp.clone();
-            scalar::gru_rh_step(&pr, &hw, &hp, &mut rh_s);
-            scalar::gru_combine_step(&pr, &hw, &rhn, &mut h_s);
-            set_backend(native);
-            let mut rh_v = vec![0.0f32; hsz];
-            let mut h_v = hp.clone();
-            gru_rh_step(&pr, &hw, &hp, &mut rh_v);
-            gru_combine_step(&pr, &hw, &rhn, &mut h_v);
-            for k in 0..hsz {
-                assert!((rh_s[k] - rh_v[k]).abs() <= 2e-6);
-                assert!((h_s[k] - h_v[k]).abs() <= 2e-6);
-            }
-        }
-        set_backend(native);
-    }
-
-    #[test]
-    fn int8_gemv_matches_dequantized_f32() {
-        let native = backend();
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
-        for &(k, n) in &[(5usize, 9usize), (16, 24), (33, 70)] {
-            let a = randv(&mut rng, k, -1.0, 1.0);
-            let w = randv(&mut rng, k * n, -0.5, 0.5);
-            let maxabs = w.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-            let scale = if maxabs == 0.0 { 1.0 } else { maxabs / 127.0 };
-            let q: Vec<i8> = w
-                .iter()
-                .map(|v| (v / scale).round().clamp(-127.0, 127.0) as i8)
-                .collect();
-            let deq: Vec<f32> = q.iter().map(|&v| v as f32 * scale).collect();
-            let mut want = vec![0.0f32; n];
-            scalar::gemv_dense_acc(&a, &deq, n, 0, n, &mut want);
-            set_backend(native);
-            let mut got = vec![0.0f32; n];
-            gemv_i8_acc(&a, &q, n, 0, n, scale, &mut got);
-            for (wv, gv) in want.iter().zip(&got) {
-                assert!((wv - gv).abs() <= 1e-3, "{wv} vs {gv}");
-            }
         }
         set_backend(native);
     }

@@ -2,7 +2,7 @@
 
 use desh_nn::loss::{mse, mse_vec, softmax, softmax_xent, top_k};
 use desh_nn::simd::set_backend;
-use desh_nn::{Backend, Mat, QuantMat, TokenLstm, VectorLstm, WindowScratch};
+use desh_nn::{Backend, Mat, TokenLstm, VectorLstm, WindowScratch};
 use desh_util::Xoshiro256pp;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -300,50 +300,6 @@ proptest! {
         let b = random_mat(k, n, &mut rng);
         let at = Mat::from_fn(m, k, |i, j| a.row(j)[i]);
         assert_mats_close(&a.t_matmul(&b), &naive_matmul(&at, &b), gemm_tol(k))?;
-    }
-
-    #[test]
-    fn int8_quantize_round_trip_error_is_within_half_scale(
-        rows in 1usize..24,
-        cols in 1usize..48,
-        scale_exp in -3i32..4,
-        seed in any::<u64>(),
-    ) {
-        // Symmetric per-tensor int8: |w - dequantize(quantize(w))| is
-        // bounded by half a quantization step, across weight magnitudes.
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let mag = 10.0f32.powi(scale_exp);
-        let w = Mat::from_fn(rows, cols, |_, _| (rng.f32() * 2.0 - 1.0) * mag);
-        let q = QuantMat::quantize(&w);
-        let deq = q.dequantize();
-        let half_step = q.scale() * 0.5 + 1e-12;
-        for (orig, back) in w.data().iter().zip(deq.data()) {
-            prop_assert!(
-                (orig - back).abs() <= half_step,
-                "|{orig} - {back}| > {half_step}"
-            );
-        }
-    }
-
-    #[test]
-    fn int8_gemv_matches_f64_oracle_of_dequantized_weights(
-        k in 1usize..120,
-        n in 1usize..96,
-        seed in any::<u64>(),
-    ) {
-        // The i8-weight f32-accumulate GEMV must agree with the f64
-        // oracle applied to the dequantized weights: quantization decides
-        // the values, the kernel must not add error of its own.
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let x = random_mat(1, k, &mut rng);
-        let w = random_mat(k, n, &mut rng);
-        let q = QuantMat::quantize(&w);
-        let want = naive_matmul(&x, &q.dequantize());
-        let mut got = vec![0.0f32; n];
-        q.gemv(x.row(0), &mut got);
-        for (g, w) in got.iter().zip(want.row(0)) {
-            prop_assert!((g - w).abs() <= gemm_tol(k), "got {g} want {w}");
-        }
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! - the decision trace words the live detector emitted for each scored
 //!   event (the ground truth replay is compared against);
 //! - provenance: checkpoint path, run id, config hash, vocab/chain sizes;
-//! - the execution environment: kernel backend, f32-vs-int8 precision,
-//!   and `DESH_SHARDS` — replay pins these, because the SIMD polynomial
-//!   activations differ from scalar in low bits.
+//! - the execution environment: kernel backend, scoring precision (always
+//!   `f32`) and `DESH_SHARDS` — replay pins these, because the SIMD
+//!   polynomial activations differ from scalar in low bits.
 //!
 //! The capture side is a [`CaptureTap`]: per-node bounded rings of
 //! [`CapsuleEvent`]s fed by the online detector, plus a ring of recent
@@ -96,7 +96,8 @@ pub struct CapsuleMeta {
     pub config_hash: u64,
     /// Kernel backend name at capture time (`scalar`, `avx2+fma`, `neon`).
     pub backend: String,
-    /// Scoring precision at capture time (`f32` or `int8`).
+    /// Scoring precision at capture time. Always `f32`; replay refuses
+    /// any other value.
     pub precision: String,
     /// `DESH_SHARDS` at capture time (empty when unset).
     pub shards: String,

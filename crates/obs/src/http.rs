@@ -64,7 +64,7 @@ pub struct HealthInfo {
     pub config_hash: Option<u64>,
     /// Active SIMD kernel backend (e.g. `"avx2+fma"`, `"scalar"`).
     pub kernel_backend: Option<String>,
-    /// Numeric precision of the scoring path (`"f32"` or `"int8"`).
+    /// Numeric precision of the scoring path (always `"f32"`).
     pub precision: Option<String>,
     /// Run id of the shadow candidate's checkpoint, when one is attached.
     pub shadow_run_id: Option<String>,
@@ -779,7 +779,7 @@ mod tests {
                 run_id: Some("run-x".into()),
                 config_hash: Some(77),
                 kernel_backend: Some("testvec".into()),
-                precision: Some("int8".into()),
+                precision: Some("f32".into()),
                 shadow_run_id: Some("run-y".into()),
                 shadow_config_hash: Some(78),
             });
@@ -809,7 +809,7 @@ mod tests {
         assert!(health.contains("\"run_id\":\"run-x\""));
         assert!(health.contains("\"config_hash\":77"));
         assert!(health.contains("\"kernel_backend\":\"testvec\""));
-        assert!(health.contains("\"precision\":\"int8\""));
+        assert!(health.contains("\"precision\":\"f32\""));
         assert!(health.contains("\"shadow\":{\"run_id\":\"run-y\",\"config_hash\":78}"));
         assert!(health.contains("\"burning\":[\"template_miss\"]"));
     }

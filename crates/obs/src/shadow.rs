@@ -62,7 +62,7 @@ pub struct ShadowIdentity {
     pub run_id: Option<String>,
     /// Training config hash, when the checkpoint carries one.
     pub config_hash: Option<u64>,
-    /// Scoring precision ("f32" / "int8"), when known.
+    /// Scoring precision (always "f32"), when known.
     pub precision: Option<String>,
 }
 
@@ -967,10 +967,10 @@ mod tests {
             precision: Some("f32".into()),
         };
         let candidate = ShadowIdentity {
-            path: "b.dshq".into(),
+            path: "b.dshm".into(),
             run_id: None,
             config_hash: Some(7),
-            precision: Some("int8".into()),
+            precision: None,
         };
         let m = ShadowMonitor::new(&Telemetry::disabled(), 10.0);
         m.attach_ledger(ShadowLedger::create(&path, 10.0, &primary, &candidate).unwrap());

@@ -26,6 +26,9 @@ pub enum CodecError {
     /// A sealed container's payload checksum did not match (bit rot or
     /// a truncated/edited artifact).
     BadChecksum { expected: u64, found: u64 },
+    /// Decoded fields disagree with each other (a tensor whose stored
+    /// shape does not match the dimensions declared for it).
+    BadShape(String),
 }
 
 impl fmt::Display for CodecError {
@@ -50,6 +53,7 @@ impl fmt::Display for CodecError {
                 "payload checksum mismatch: sealed {expected:#018x}, computed {found:#018x} \
                  (artifact corrupt or truncated)"
             ),
+            CodecError::BadShape(what) => write!(f, "inconsistent shapes: {what}"),
         }
     }
 }
@@ -125,14 +129,6 @@ impl Encoder {
         self.put_u64(xs.len() as u64);
         for &x in xs {
             self.buf.put_u32_le(x);
-        }
-    }
-
-    /// Length-prefixed i8 slice (quantized weight tensors).
-    pub fn put_i8_slice(&mut self, xs: &[i8]) {
-        self.put_u64(xs.len() as u64);
-        for &x in xs {
-            self.buf.put_u8(x as u8);
         }
     }
 
@@ -247,11 +243,21 @@ impl Decoder {
         Ok(out)
     }
 
-    /// Length-prefixed i8 slice written by [`Encoder::put_i8_slice`].
-    pub fn i8_vec(&mut self) -> Result<Vec<i8>, CodecError> {
+    /// A length-prefixed block of raw bytes (a nested encoding).
+    pub fn bytes(&mut self) -> Result<Bytes, CodecError> {
         let n = self.len_prefix()?;
-        let raw = self.take(n)?;
-        Ok(raw.iter().map(|&b| b as i8).collect())
+        self.take(n)
+    }
+
+    /// A u64 count of items that each take at least `min_item` bytes,
+    /// rejected when that many could not fit in the bytes left: a corrupt
+    /// count fails here instead of sizing an allocation.
+    pub fn count(&mut self, min_item: usize) -> Result<usize, CodecError> {
+        let n = self.u64()?;
+        if n > (self.remaining() / min_item.max(1)) as u64 {
+            return Err(CodecError::LengthOverflow(n));
+        }
+        Ok(n as usize)
     }
 
     /// Bytes not yet consumed.

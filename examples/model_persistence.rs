@@ -42,12 +42,7 @@ fn main() -> std::io::Result<()> {
     let lead_path = dir.join("phase2_lead.dshm");
 
     let token_bytes = trained.phase1.model.to_bytes();
-    let lead_f32 = trained
-        .lead_model
-        .net
-        .f32()
-        .expect("training produces the f32 variant");
-    let lead_bytes = lead_f32.to_bytes();
+    let lead_bytes = trained.lead_model.net.to_bytes();
     println!(
         "checkpointing: phase-1 model {} KiB, phase-2 model {} KiB",
         token_bytes.len() / 1024,
@@ -69,7 +64,7 @@ fn main() -> std::io::Result<()> {
     let window: Vec<Vec<f32>> = vec![trained.lead_model.vectorize(30.0, 2)];
     let w: Vec<&[f32]> = window.iter().map(|v| v.as_slice()).collect();
     assert_eq!(
-        lead_f32.predict_next(&w, 5),
+        trained.lead_model.net.predict_next(&w, 5),
         lead2.predict_next(&w, 5),
         "phase-2 predictions must survive the round trip"
     );
@@ -77,7 +72,7 @@ fn main() -> std::io::Result<()> {
 
     // The reloaded lead model drives phase 3 like the original.
     let mut restored = trained.lead_model.clone();
-    restored.net = ScoringNet::F32(lead2);
+    restored.net = lead2;
     let parsed_test = parse_records_with_vocab(&test.records, trained.parsed_train.vocab.clone());
     let out = desh::core::run_phase3(&restored, &parsed_test, &test.failures, &desh.cfg);
     println!("{}", out.confusion.summary_row("restored model"));

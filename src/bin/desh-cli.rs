@@ -14,8 +14,7 @@
 //! unknown-phrase analysis with no model at all.
 
 use desh::checkpoint::{
-    encode_checkpoint, encode_quantized_checkpoint, load_any_checkpoint, load_checkpoint,
-    resolve_capsule_checkpoint, Checkpoint,
+    encode_checkpoint, load_checkpoint, resolve_capsule_checkpoint, Checkpoint,
 };
 use desh::core::{
     config_hash, dataset_fingerprint, render_report, replay_capsule, run_phase1_session,
@@ -58,8 +57,8 @@ fn main() -> ExitCode {
     } else {
         let boolean: &[&str] = match cmd.as_str() {
             "train" => &["fast"],
-            "predict" => &["fast", "profile", "int8"],
-            "serve" => &["int8", "drop-oldest"],
+            "predict" => &["fast", "profile"],
+            "serve" => &["drop-oldest"],
             "slo" => &["json"],
             _ => &[],
         };
@@ -76,7 +75,6 @@ fn main() -> ExitCode {
             "predict" => cmd_predict(&opts),
             "serve" => cmd_serve(&opts),
             "drive" => cmd_drive(&opts),
-            "quantize" => cmd_quantize(&opts),
             "analyze" => cmd_analyze(&opts),
             "slo" => cmd_slo(&opts),
             "--help" | "-h" | "help" => {
@@ -103,31 +101,28 @@ USAGE:
                     [--truth <truth.txt>] [--seed <n>]
   desh-cli train    --log <logs.txt> --out <model.dshm> [--seed <n>] [--fast]
                     [--telemetry <out.jsonl>] [--run-dir <dir>] [--run-id <id>]
-  desh-cli predict  --log <logs.txt> --model <model.dshm|model.dshq>
-                    [--int8] [--truth <truth.txt>]
+  desh-cli predict  --log <logs.txt> --model <model.dshm> [--truth <truth.txt>]
                     [--telemetry <out.jsonl>] [--serve <addr:port>]
                     [--serve-secs <n>] [--trace-dir <dir>] [--runs-dir <dir>]
                     [--capsule-dir <dir>]
                     [--shadow <ckpt>] [--shadow-ledger <out.jsonl>]
                     [--shadow-slack <secs>]
                     [--profile] [--profile-every <n>]
-  desh-cli serve    --model <model.dshm|model.dshq> --listen <host:port>
-                    [--int8] [--shards <n>] [--slots <n>] [--queue-depth <n>]
+  desh-cli serve    --model <model.dshm> --listen <host:port>
+                    [--shards <n>] [--slots <n>] [--queue-depth <n>]
                     [--batch-max <n>] [--drop-oldest] [--http <host:port>]
                     [--shadow <ckpt>] [--shadow-ledger <out.jsonl>]
                     [--shadow-slack <secs>] [--serve-secs <n>]
   desh-cli drive    --log <logs.txt> --to <host:port> [--secs <n>] [--rate <lines/s>]
-  desh-cli quantize --model <model.dshm> --out <model.dshq>
   desh-cli analyze  --log <logs.txt>
   desh-cli slo      --addr <host:port> [--json]
   desh-cli runs     list            --dir <runs-dir> [--json]
   desh-cli runs     show <id>       --dir <runs-dir>
   desh-cli runs     diff <a> <b>    --dir <runs-dir>
-  desh-cli capsule  record          --log <logs.txt> --model <ckpt> --out <dir> [--int8]
+  desh-cli capsule  record          --log <logs.txt> --model <ckpt> --out <dir>
   desh-cli capsule  list            --dir <dir> [--json]
   desh-cli capsule  verify <file.dcap>
-  desh-cli capsule  replay <file.dcap> [--model <ckpt>]
-                    [--allow-backend-mismatch] [--allow-precision-mismatch]
+  desh-cli capsule  replay <file.dcap> [--model <ckpt>] [--allow-backend-mismatch]
   desh-cli capsule  diff   <file.dcap> [--model <ckpt>]
   desh-cli shadow   report --ledger <shadow.jsonl> [--json]
                     [--max-warning-delta-pct <x>] [--max-pr-regression <y>]
@@ -163,7 +158,7 @@ USAGE:
   per-node pre-trigger ring, and a fired warning, an SLO fast-burn, or
   a panic seals a checksummed .dcap capsule into <dir> — raw events,
   decision traces, fired warnings, and the pinned environment
-  (checkpoint, config hash, kernel backend, precision, DESH_SHARDS) —
+  (checkpoint, config hash, kernel backend, DESH_SHARDS) —
   everything `capsule replay` needs to re-run the incident bit-exactly.
   With --serve, GET /capsules lists the sealed capsules.
 
@@ -173,8 +168,8 @@ USAGE:
   --model) and asserts bit-exact agreement on every trace word and
   warning field — it exits non-zero on divergence, printing the first
   divergent event and per-field deltas. `capsule diff` is the same
-  comparison but expects divergence (backend/precision mismatches
-  allowed) and always exits zero. `capsule verify` checks a file's
+  comparison but expects divergence (backend mismatches allowed) and
+  always exits zero. `capsule verify` checks a file's
   seal (magic, version, checksum); `capsule list` summarizes a
   directory of capsules.
 
@@ -212,18 +207,16 @@ USAGE:
   regression in log-scale buckets) and render a PASS/FAIL verdict; `shadow
   report` exits non-zero on FAIL so CI can gate promotions on it.
 
-  `quantize` converts a trained `.dshm` checkpoint into an int8 `.dshq`
-  sidecar (symmetric per-tensor weights, f32 accumulate, ~4× smaller
-  resident model). `predict` accepts either format; `predict --int8`
-  forces the quantized path, converting a `.dshm` in memory if needed.
-  The active SIMD kernel backend and precision are printed at load and
-  reported at /healthz and in the nn.kernel_backend / nn.int8 gauges.";
+  The active SIMD kernel backend is printed at load and reported at
+  /healthz and in the nn.kernel_backend gauge.";
 
 type Flags = HashMap<String, String>;
 
 /// Parse `--key value` pairs; keys listed in `boolean` take no value.
 /// Which keys are boolean depends on the command — `generate --profile`
 /// names a system profile while `predict --profile` toggles the sampler.
+/// A value never starts with `--`, so a flag missing its value cannot
+/// swallow the flag after it (single-dash values such as `-1` parse).
 fn parse_flags(args: &[String], boolean: &[&str]) -> Result<Flags, String> {
     let mut out = HashMap::new();
     let mut it = args.iter();
@@ -235,12 +228,17 @@ fn parse_flags(args: &[String], boolean: &[&str]) -> Result<Flags, String> {
             out.insert(key.to_string(), "true".to_string());
             continue;
         }
-        let Some(v) = it.next() else {
+        let Some(v) = it.next().filter(|v| !v.starts_with("--")) else {
             return Err(format!("flag --{key} needs a value"));
         };
         out.insert(key.to_string(), v.clone());
     }
     Ok(out)
+}
+
+/// Resident f32 weight size of the scoring net, in KiB.
+fn weight_kib(model: &LeadTimeModel) -> f64 {
+    (model.net.net.param_count() * std::mem::size_of::<f32>()) as f64 / 1024.0
 }
 
 fn need<'a>(opts: &'a Flags, key: &str) -> Result<&'a str, String> {
@@ -299,31 +297,22 @@ fn shadow_identity_of(path: &str, ck: &Checkpoint) -> ShadowIdentity {
         path: path.to_string(),
         run_id: (!ck.run_id.is_empty()).then(|| ck.run_id.clone()),
         config_hash: Some(ck.config_hash),
-        precision: Some(ck.model.net.precision().to_string()),
+        precision: Some("f32".to_string()),
     }
 }
 
-/// Load the `--shadow` candidate checkpoint, mirroring the primary's
-/// `--int8` conversion so both sides score through the same kernel path.
+/// Load the `--shadow` candidate checkpoint.
 fn shadow_checkpoint_of(opts: &Flags) -> Result<Option<(String, Checkpoint)>, String> {
     let Some(path) = opts.get("shadow") else {
         return Ok(None);
     };
-    let mut sck = load_any_checkpoint(Path::new(path))
+    let sck = load_checkpoint(Path::new(path))
         .map_err(|e| format!("cannot load shadow checkpoint {path}: {e}"))?;
-    if opts.contains_key("int8") && sck.model.net.precision() != "int8" {
-        sck.f32_net_bytes = sck.model.net.resident_bytes() as u64;
-        sck.model = sck.model.quantize();
-    }
     match &sck.run_id[..] {
-        "" => println!(
-            "shadow candidate {path} ({} weights)",
-            sck.model.net.precision()
-        ),
+        "" => println!("shadow candidate {path}"),
         id => println!(
-            "shadow candidate {path}: run {id} (config hash {:016x}, {} weights)",
-            sck.config_hash,
-            sck.model.net.precision()
+            "shadow candidate {path}: run {id} (config hash {:016x})",
+            sck.config_hash
         ),
     }
     Ok(Some((path.clone(), sck)))
@@ -565,34 +554,18 @@ fn cmd_predict(opts: &Flags) -> Result<(), String> {
         // --telemetry.
         telemetry = Telemetry::enabled();
     }
-    let mut ck = telemetry.time("load_model", || load_any_checkpoint(&model_path))?;
+    let ck = telemetry.time("load_model", || load_checkpoint(&model_path))?;
     if !ck.run_id.is_empty() {
         println!(
             "model trained under run {} (config hash {:016x})",
             ck.run_id, ck.config_hash
         );
     }
-    if opts.contains_key("int8") && ck.model.net.precision() != "int8" {
-        // Convert in memory: the quantized model replaces the f32 one, so
-        // only the int8 weights stay resident for the replay.
-        ck.f32_net_bytes = ck.model.net.resident_bytes() as u64;
-        ck.model = ck.model.quantize();
-    }
-    let precision = ck.model.net.precision();
-    let resident = ck.model.net.resident_bytes();
-    match (precision, ck.f32_net_bytes) {
-        ("int8", f32b) if f32b > 0 => println!(
-            "scoring path: {} kernels, {precision} weights ({:.1} KiB resident, {:.1}x smaller than f32)",
-            desh::nn::kernel_backend_name(),
-            resident as f64 / 1024.0,
-            f32b as f64 / resident as f64
-        ),
-        _ => println!(
-            "scoring path: {} kernels, {precision} weights ({:.1} KiB resident)",
-            desh::nn::kernel_backend_name(),
-            resident as f64 / 1024.0
-        ),
-    }
+    println!(
+        "scoring path: {} kernels, f32 weights ({:.1} KiB resident)",
+        desh::nn::kernel_backend_name(),
+        weight_kib(&ck.model)
+    );
     let shadow_slack = shadow_slack_of(opts)?;
     let shadow_ck = shadow_checkpoint_of(opts)?;
     let health = HealthInfo {
@@ -600,7 +573,7 @@ fn cmd_predict(opts: &Flags) -> Result<(), String> {
         run_id: (!ck.run_id.is_empty()).then(|| ck.run_id.clone()),
         config_hash: Some(ck.config_hash),
         kernel_backend: Some(desh::nn::kernel_backend_name().to_string()),
-        precision: Some(precision.to_string()),
+        precision: Some("f32".to_string()),
         shadow_run_id: shadow_ck
             .as_ref()
             .and_then(|(_, s)| (!s.run_id.is_empty()).then(|| s.run_id.clone())),
@@ -659,7 +632,6 @@ fn cmd_predict(opts: &Flags) -> Result<(), String> {
                 &model_path,
                 &ck.run_id,
                 ck.config_hash,
-                precision,
                 vocab.len(),
                 chains.len(),
                 &cfg,
@@ -945,22 +917,17 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     }
 
     let telemetry = Telemetry::enabled();
-    let mut ck = load_any_checkpoint(&model_path)?;
+    let ck = load_checkpoint(&model_path)?;
     if !ck.run_id.is_empty() {
         println!(
             "model trained under run {} (config hash {:016x})",
             ck.run_id, ck.config_hash
         );
     }
-    if opts.contains_key("int8") && ck.model.net.precision() != "int8" {
-        ck.f32_net_bytes = ck.model.net.resident_bytes() as u64;
-        ck.model = ck.model.quantize();
-    }
-    let precision = ck.model.net.precision();
     println!(
-        "scoring path: {} kernels, {precision} weights ({:.1} KiB resident per shard)",
+        "scoring path: {} kernels, f32 weights ({:.1} KiB resident per shard)",
         desh::nn::kernel_backend_name(),
-        ck.model.net.resident_bytes() as f64 / 1024.0
+        weight_kib(&ck.model)
     );
     let shadow_slack = shadow_slack_of(opts)?;
     let shadow_ck = shadow_checkpoint_of(opts)?;
@@ -1035,7 +1002,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
                 run_id: (!ck.run_id.is_empty()).then(|| ck.run_id.clone()),
                 config_hash: Some(ck.config_hash),
                 kernel_backend: Some(desh::nn::kernel_backend_name().to_string()),
-                precision: Some(precision.to_string()),
+                precision: Some("f32".to_string()),
                 shadow_run_id: shadow_ck
                     .as_ref()
                     .and_then(|(_, s)| (!s.run_id.is_empty()).then(|| s.run_id.clone())),
@@ -1179,53 +1146,6 @@ fn cmd_drive(opts: &Flags) -> Result<(), String> {
         "drove {sent} lines to {to} in {secs_elapsed:.1}s ({:.0} lines/s)",
         sent as f64 / secs_elapsed.max(1e-9)
     );
-    Ok(())
-}
-
-/// `quantize`: convert a trained `.dshm` checkpoint into a standalone
-/// int8 `.dshq` sidecar. Vocabulary, chains and the provenance stamp are
-/// carried through; the f32 tensors are not.
-fn cmd_quantize(opts: &Flags) -> Result<(), String> {
-    let model_path = PathBuf::from(need(opts, "model")?);
-    let out = PathBuf::from(need(opts, "out")?);
-    if let Ok(head) = std::fs::read(&model_path) {
-        if head.starts_with(b"DSHQ") {
-            return Err(format!(
-                "{} is already an int8-quantized checkpoint (.dshq); quantize takes the f32 .dshm",
-                model_path.display()
-            ));
-        }
-    }
-    let ck = load_checkpoint(&model_path)?;
-    let f32_bytes = ck.model.net.resident_bytes();
-    let qmodel = ck.model.quantize();
-    let q_bytes = qmodel.net.resident_bytes();
-    let bytes = encode_quantized_checkpoint(
-        &qmodel,
-        &ck.vocab,
-        &ck.chains,
-        &ck.run_id,
-        ck.config_hash,
-        f32_bytes as u64,
-    );
-    std::fs::write(&out, &bytes).map_err(|e| e.to_string())?;
-    println!("quantized {} -> {}", model_path.display(), out.display());
-    println!(
-        "  weights: {:.1} KiB f32 -> {:.1} KiB int8 ({:.1}x smaller resident model)",
-        f32_bytes as f64 / 1024.0,
-        q_bytes as f64 / 1024.0,
-        f32_bytes as f64 / q_bytes as f64
-    );
-    println!(
-        "  file: {:.1} KiB (vocab + chains + provenance carried through)",
-        bytes.len() as f64 / 1024.0
-    );
-    if !ck.run_id.is_empty() {
-        println!(
-            "  provenance: run {} (config hash {:016x})",
-            ck.run_id, ck.config_hash
-        );
-    }
     Ok(())
 }
 
@@ -1581,7 +1501,6 @@ fn capsule_context(
     model_path: &Path,
     run_id: &str,
     config_hash: u64,
-    precision: &str,
     vocab_len: usize,
     chains: usize,
     cfg: &DeshConfig,
@@ -1591,7 +1510,7 @@ fn capsule_context(
         run_id: run_id.to_string(),
         config_hash,
         backend: desh::nn::kernel_backend_name().to_string(),
-        precision: precision.to_string(),
+        precision: "f32".to_string(),
         shards: std::env::var("DESH_SHARDS").unwrap_or_default(),
         vocab_len: vocab_len as u64,
         chains: chains as u64,
@@ -1610,15 +1529,7 @@ fn cmd_capsule(args: &[String]) -> Result<(), String> {
         .position(|a| a.starts_with("--"))
         .unwrap_or(args.len());
     let (pos, flags) = args.split_at(split);
-    let opts = parse_flags(
-        flags,
-        &[
-            "json",
-            "int8",
-            "allow-backend-mismatch",
-            "allow-precision-mismatch",
-        ],
-    )?;
+    let opts = parse_flags(flags, &["json", "allow-backend-mismatch"])?;
     match pos {
         [sub] if sub == "record" => capsule_record(&opts),
         [sub] if sub == "list" => capsule_list(&opts),
@@ -1626,9 +1537,9 @@ fn cmd_capsule(args: &[String]) -> Result<(), String> {
         [sub, file] if sub == "replay" => capsule_replay(file, &opts, false),
         [sub, file] if sub == "diff" => capsule_replay(file, &opts, true),
         _ => Err(
-            "usage: desh-cli capsule <record --log <logs> --model <ckpt> --out <dir> [--int8] \
+            "usage: desh-cli capsule <record --log <logs> --model <ckpt> --out <dir> \
              | list --dir <dir> [--json] | verify <file.dcap> \
-             | replay <file.dcap> [--model <ckpt>] [--allow-backend-mismatch] [--allow-precision-mismatch] \
+             | replay <file.dcap> [--model <ckpt>] [--allow-backend-mismatch] \
              | diff <file.dcap> [--model <ckpt>]>"
                 .into(),
         ),
@@ -1643,11 +1554,6 @@ fn capsule_record(opts: &Flags) -> Result<(), String> {
     let log_path = PathBuf::from(need(opts, "log")?);
     let model_path = PathBuf::from(need(opts, "model")?);
     let out = PathBuf::from(need(opts, "out")?);
-    let mut ck = load_any_checkpoint(&model_path)?;
-    if opts.contains_key("int8") && ck.model.net.precision() != "int8" {
-        ck.model = ck.model.quantize();
-    }
-    let precision = ck.model.net.precision();
     let Checkpoint {
         model,
         vocab,
@@ -1655,7 +1561,7 @@ fn capsule_record(opts: &Flags) -> Result<(), String> {
         run_id,
         config_hash,
         ..
-    } = ck;
+    } = load_checkpoint(&model_path)?;
     let cfg = DeshConfig::default();
     let mut detector = OnlineDetector::new(model, Arc::clone(&vocab), cfg.clone());
     if !chains.is_empty() {
@@ -1667,7 +1573,6 @@ fn capsule_record(opts: &Flags) -> Result<(), String> {
         &model_path,
         &run_id,
         config_hash,
-        precision,
         vocab.len(),
         chains.len(),
         &cfg,
@@ -1676,7 +1581,7 @@ fn capsule_record(opts: &Flags) -> Result<(), String> {
         .map_err(|e| format!("cannot open capsule dir {}: {e}", out.display()))?;
     let (records, bad) = desh::loggen::io::read_log_file(&log_path).map_err(|e| e.to_string())?;
     println!(
-        "recording: {} records ({} corrupt skipped) on {} kernels, {precision} weights",
+        "recording: {} records ({} corrupt skipped) on {} kernels, f32 weights",
         records.len(),
         bad.len(),
         desh::nn::kernel_backend_name()
@@ -1792,8 +1697,6 @@ fn capsule_replay(file: &str, opts: &Flags, expect_divergence: bool) -> Result<(
     }
     let replay_opts = ReplayOptions {
         allow_backend_mismatch: expect_divergence || opts.contains_key("allow-backend-mismatch"),
-        allow_precision_mismatch: expect_divergence
-            || opts.contains_key("allow-precision-mismatch"),
     };
     let report = replay_capsule(&capsule, ck.model, ck.vocab, &ck.chains, &replay_opts)?;
     print!("{}", render_report(&report));
@@ -1807,5 +1710,28 @@ fn capsule_replay(file: &str, opts: &Flags, expect_divergence: bool) -> Result<(
             "replay diverged from the capture (see diff above); \
              if the environment intentionally differs, use `capsule diff {file}`"
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_flags;
+
+    fn args(xs: &[&str]) -> Vec<String> {
+        xs.iter().map(|x| x.to_string()).collect()
+    }
+
+    #[test]
+    fn value_flag_never_swallows_the_next_flag() {
+        let err = parse_flags(&args(&["--trace-dir", "--fast"]), &["fast"]).unwrap_err();
+        assert_eq!(err, "flag --trace-dir needs a value");
+        let err = parse_flags(&args(&["--log", "x", "--model"]), &[]).unwrap_err();
+        assert_eq!(err, "flag --model needs a value");
+        let opts = parse_flags(&args(&["--trace-dir", "t", "--fast"]), &["fast"]).unwrap();
+        assert_eq!(opts["trace-dir"], "t");
+        assert_eq!(opts["fast"], "true");
+        // Single-dash values are values: CI passes a negative threshold.
+        let opts = parse_flags(&args(&["--max-warning-delta-pct", "-1"]), &[]).unwrap();
+        assert_eq!(opts["max-warning-delta-pct"], "-1");
     }
 }

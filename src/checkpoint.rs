@@ -1,4 +1,4 @@
-//! Checkpoint encode/decode for the CLI's `.dshm` and `.dshq` model files.
+//! Checkpoint encode/decode for the CLI's `.dshm` model files.
 //!
 //! `.dshm` layout (all little-endian, via [`desh_util::codec`]):
 //!
@@ -16,17 +16,14 @@
 //! Older versions still load: v1 files simply have no chains and no
 //! provenance, v2 files no provenance.
 //!
-//! `.dshq` (magic `DSHQ`) is the int8-quantized sidecar produced by
-//! `desh-cli quantize`: the same vocabulary, constants, chains and
-//! provenance stamp, but the network section holds a
-//! [`desh_nn::QuantizedVectorLstm`] plus the original f32 network's
-//! resident byte count (so `predict` can report the compression ratio).
-//! A `.dshq` is standalone — it never contains the f32 tensors — and
-//! [`load_any_checkpoint`] sniffs the magic to accept either format.
+//! Decoding never trusts the file: every count and length is bounded by
+//! the bytes left, the network's stored tensor shapes must agree with its
+//! declared dims and with the vocabulary, and a file carrying the magic
+//! of the retired `.dshq` format is refused by name.
 
-use desh_core::{ChainEvent, FailureChain, LeadTimeModel, ScoringNet};
+use desh_core::{ChainEvent, FailureChain, LeadTimeModel};
 use desh_logparse::Vocab;
-use desh_nn::{QuantizedVectorLstm, VectorLstm};
+use desh_nn::VectorLstm;
 use desh_util::codec::{Decoder, Encoder};
 use desh_util::Micros;
 use desh_loggen::NodeId;
@@ -37,16 +34,18 @@ use std::sync::Arc;
 pub const MODEL_MAGIC: [u8; 4] = *b"DSHC";
 /// Current checkpoint format version. This build reads `1..=MODEL_VERSION`.
 pub const MODEL_VERSION: u32 = 3;
-/// Quantized checkpoint file magic.
-pub const QUANT_MAGIC: [u8; 4] = *b"DSHQ";
-/// Current quantized checkpoint format version.
-pub const QUANT_VERSION: u32 = 1;
+/// Magic of the `.dshq` files older builds wrote for their int8 scoring
+/// path; [`decode_checkpoint`] refuses it with an error that says so.
+const DSHQ_MAGIC: [u8; 4] = *b"DSHQ";
+/// Longest history window a checkpoint may declare. Phase 2 trains with 5
+/// (Table 5); a warning's lead window pads up to the history, so a corrupt
+/// value must not reach it.
+const MAX_HISTORY: usize = 4096;
 
-/// Everything a `.dshm` or `.dshq` file holds, decoded.
+/// Everything a `.dshm` file holds, decoded.
 #[derive(Debug)]
 pub struct Checkpoint {
     /// The lead-time model (losses are not persisted; empty after load).
-    /// Holds the int8 scoring net when loaded from a `.dshq`.
     pub model: LeadTimeModel,
     /// Training vocabulary, in intern order.
     pub vocab: Arc<Vocab>,
@@ -59,9 +58,6 @@ pub struct Checkpoint {
     pub config_hash: u64,
     /// Format version the file was written with.
     pub version: u32,
-    /// Resident bytes of the f32 network the quantized net was derived
-    /// from (0 for `.dshm` files) — for compression-ratio reporting.
-    pub f32_net_bytes: u64,
 }
 
 fn encode_chains(chains: &[FailureChain]) -> Vec<u8> {
@@ -81,12 +77,18 @@ fn encode_chains(chains: &[FailureChain]) -> Vec<u8> {
 }
 
 fn decode_chains(d: &mut Decoder) -> Result<Vec<FailureChain>, String> {
-    let n = d.u64().map_err(|e| e.to_string())? as usize;
+    // A chain is at least its node, terminal time and event count; an
+    // event is a time, a phrase and a ΔT.
+    let n = d.count(24).map_err(|e| e.to_string())?;
     let mut chains = Vec::with_capacity(n);
     for _ in 0..n {
-        let node = NodeId::from_index(d.u64().map_err(|e| e.to_string())? as usize);
+        let index = d.u64().map_err(|e| e.to_string())?;
+        if index >= NodeId::MAX_INDEX as u64 {
+            return Err(format!("chain names node index {index}, past a cabinet row"));
+        }
+        let node = NodeId::from_index(index as usize);
         let terminal_time = Micros(d.u64().map_err(|e| e.to_string())?);
-        let len = d.u64().map_err(|e| e.to_string())? as usize;
+        let len = d.count(20).map_err(|e| e.to_string())?;
         let mut events = Vec::with_capacity(len);
         for _ in 0..len {
             let time = Micros(d.u64().map_err(|e| e.to_string())?);
@@ -117,11 +119,7 @@ pub fn encode_checkpoint(
     }
     e.put_f32(model.dt_scale);
     e.put_u64(model.history as u64);
-    let net = model
-        .net
-        .f32()
-        .expect("`.dshm` checkpoints hold the f32 network; use encode_quantized_checkpoint")
-        .to_bytes();
+    let net = model.net.to_bytes();
     e.put_u64(net.len() as u64);
     let mut bytes = e.finish().to_vec();
     bytes.extend_from_slice(&net);
@@ -136,6 +134,11 @@ pub fn encode_checkpoint(
 /// Decode a checkpoint from raw bytes, accepting any version this build
 /// knows (`1..=MODEL_VERSION`).
 pub fn decode_checkpoint(bytes: Vec<u8>) -> Result<Checkpoint, String> {
+    if bytes.starts_with(&DSHQ_MAGIC) {
+        return Err("int8 checkpoints (.dshq) are no longer supported; \
+                    load the f32 .dshm checkpoint instead"
+            .into());
+    }
     if bytes.len() < 8 {
         return Err("model file truncated".into());
     }
@@ -148,19 +151,28 @@ pub fn decode_checkpoint(bytes: Vec<u8>) -> Result<Checkpoint, String> {
     let mut d = Decoder::new(bytes::Bytes::from(bytes));
     d.expect_header(MODEL_MAGIC, version)
         .map_err(|e| e.to_string())?;
-    let n = d.u64().map_err(|e| e.to_string())? as usize;
+    // Each template string starts with its u64 length.
+    let n = d.count(8).map_err(|e| e.to_string())?;
     let vocab = Vocab::new();
     for _ in 0..n {
         vocab.intern(&d.string().map_err(|e| e.to_string())?);
     }
-    let dt_scale = d.f32().map_err(|e| e.to_string())?;
-    let history = d.u64().map_err(|e| e.to_string())? as usize;
-    let net_len = d.u64().map_err(|e| e.to_string())? as usize;
-    let mut net_bytes = vec![0u8; net_len];
-    for b in net_bytes.iter_mut() {
-        *b = d.u8().map_err(|e| e.to_string())?;
+    if n == 0 || vocab.len() != n {
+        return Err(format!("vocabulary of {n} templates holds {} distinct", vocab.len()));
     }
-    let net = VectorLstm::from_bytes(net_bytes.into()).map_err(|e| e.to_string())?;
+    let dt_scale = d.f32().map_err(|e| e.to_string())?;
+    let history = d.u64().map_err(|e| e.to_string())?;
+    if !(1..=MAX_HISTORY as u64).contains(&history) {
+        return Err(format!("history window {history} outside 1..={MAX_HISTORY}"));
+    }
+    let net_bytes = d.bytes().map_err(|e| e.to_string())?;
+    let net = VectorLstm::from_bytes(net_bytes).map_err(|e| e.to_string())?;
+    if net.dim() != n + 1 {
+        return Err(format!(
+            "network scores {}-wide samples but the vocabulary has {n} templates",
+            net.dim()
+        ));
+    }
     // v1 checkpoints predate the chain trailer; detectors loaded from them
     // run fine but cannot name a warning's matched chain.
     let chains = if version >= 2 { decode_chains(&mut d)? } else { Vec::new() };
@@ -173,10 +185,10 @@ pub fn decode_checkpoint(bytes: Vec<u8>) -> Result<Checkpoint, String> {
         (String::new(), 0)
     };
     let model = LeadTimeModel {
-        net: ScoringNet::F32(net),
+        net,
         dt_scale,
         vocab_size: n,
-        history,
+        history: history as usize,
         losses: Vec::new(),
     };
     Ok(Checkpoint {
@@ -186,108 +198,12 @@ pub fn decode_checkpoint(bytes: Vec<u8>) -> Result<Checkpoint, String> {
         run_id,
         config_hash,
         version,
-        f32_net_bytes: 0,
-    })
-}
-
-/// Serialize an int8-quantized model as a standalone `.dshq` sidecar.
-/// `f32_net_bytes` records the resident size of the f32 network the
-/// quantized one was derived from (ratio reporting only; pass 0 when
-/// unknown).
-pub fn encode_quantized_checkpoint(
-    model: &LeadTimeModel,
-    vocab: &Vocab,
-    chains: &[FailureChain],
-    run_id: &str,
-    config_hash: u64,
-    f32_net_bytes: u64,
-) -> Vec<u8> {
-    let qnet = match &model.net {
-        ScoringNet::Int8(q) => q,
-        ScoringNet::F32(_) => {
-            panic!("`.dshq` checkpoints hold the int8 network; quantize the model first")
-        }
-    };
-    let mut e = Encoder::with_header(QUANT_MAGIC, QUANT_VERSION);
-    let snapshot = vocab.snapshot();
-    e.put_u64(snapshot.len() as u64);
-    for t in &snapshot {
-        e.put_str(t);
-    }
-    e.put_f32(model.dt_scale);
-    e.put_u64(model.history as u64);
-    e.put_u64(f32_net_bytes);
-    let net = qnet.to_bytes();
-    e.put_u64(net.len() as u64);
-    let mut bytes = e.finish().to_vec();
-    bytes.extend_from_slice(&net);
-    bytes.extend_from_slice(&encode_chains(chains));
-    let mut stamp = Encoder::new();
-    stamp.put_str(run_id);
-    stamp.put_u64(config_hash);
-    bytes.extend_from_slice(&stamp.finish());
-    bytes
-}
-
-/// Decode a `.dshq` quantized checkpoint.
-pub fn decode_quantized_checkpoint(bytes: Vec<u8>) -> Result<Checkpoint, String> {
-    let mut d = Decoder::new(bytes::Bytes::from(bytes));
-    d.expect_header(QUANT_MAGIC, QUANT_VERSION)
-        .map_err(|e| e.to_string())?;
-    let n = d.u64().map_err(|e| e.to_string())? as usize;
-    let vocab = Vocab::new();
-    for _ in 0..n {
-        vocab.intern(&d.string().map_err(|e| e.to_string())?);
-    }
-    let dt_scale = d.f32().map_err(|e| e.to_string())?;
-    let history = d.u64().map_err(|e| e.to_string())? as usize;
-    let f32_net_bytes = d.u64().map_err(|e| e.to_string())?;
-    let net_len = d.u64().map_err(|e| e.to_string())? as usize;
-    let mut net_bytes = vec![0u8; net_len];
-    for b in net_bytes.iter_mut() {
-        *b = d.u8().map_err(|e| e.to_string())?;
-    }
-    let qnet = QuantizedVectorLstm::from_bytes(net_bytes.into()).map_err(|e| e.to_string())?;
-    let chains = decode_chains(&mut d)?;
-    let run_id = d.string().map_err(|e| e.to_string())?;
-    let config_hash = d.u64().map_err(|e| e.to_string())?;
-    let model = LeadTimeModel {
-        net: ScoringNet::Int8(qnet),
-        dt_scale,
-        vocab_size: n,
-        history,
-        losses: Vec::new(),
-    };
-    Ok(Checkpoint {
-        model,
-        vocab: Arc::new(vocab),
-        chains,
-        run_id,
-        config_hash,
-        version: QUANT_VERSION,
-        f32_net_bytes,
     })
 }
 
 /// Read and decode a `.dshm` checkpoint file.
 pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, String> {
     decode_checkpoint(std::fs::read(path).map_err(|e| e.to_string())?)
-}
-
-/// Read a checkpoint of either format, sniffing the magic: `DSHC` (f32
-/// `.dshm`) or `DSHQ` (int8 `.dshq`).
-pub fn load_any_checkpoint(path: &Path) -> Result<Checkpoint, String> {
-    let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-    if bytes.len() < 4 {
-        return Err("model file truncated".into());
-    }
-    match &bytes[..4] {
-        m if m == MODEL_MAGIC => decode_checkpoint(bytes),
-        m if m == QUANT_MAGIC => decode_quantized_checkpoint(bytes),
-        m => Err(format!(
-            "unrecognised model magic {m:?} (expected {MODEL_MAGIC:?} or {QUANT_MAGIC:?})"
-        )),
-    }
 }
 
 /// Resolve the checkpoint an incident capsule references. An explicit
@@ -306,14 +222,14 @@ pub fn resolve_capsule_checkpoint(
         None => {
             if meta.checkpoint.is_empty() {
                 return Err(
-                    "capsule does not record a checkpoint path; pass --model <file.dshm|file.dshq>"
+                    "capsule does not record a checkpoint path; pass --model <file.dshm>"
                         .to_string(),
                 );
             }
             std::path::PathBuf::from(&meta.checkpoint)
         }
     };
-    let ck = load_any_checkpoint(&path)
+    let ck = load_checkpoint(&path)
         .map_err(|e| format!("failed to load checkpoint {}: {e}", path.display()))?;
     let mut drift = Vec::new();
     if meta.config_hash != 0 && ck.config_hash != 0 && meta.config_hash != ck.config_hash {
@@ -379,52 +295,25 @@ mod tests {
     }
 
     #[test]
-    fn quantized_sidecar_round_trips() {
-        let (model, vocab, chains) = trained_fixture(94);
-        let qmodel = model.quantize();
-        let f32_bytes = model.net.resident_bytes() as u64;
-        let bytes =
-            encode_quantized_checkpoint(&qmodel, &vocab, &chains, "run-94", 0xbeef, f32_bytes);
-        assert_eq!(&bytes[..4], &QUANT_MAGIC);
-        let ck = decode_quantized_checkpoint(bytes).unwrap();
-        assert_eq!(ck.run_id, "run-94");
-        assert_eq!(ck.config_hash, 0xbeef);
-        assert_eq!(ck.f32_net_bytes, f32_bytes);
-        assert_eq!(ck.chains.len(), chains.len());
-        assert_eq!(ck.model.net.precision(), "int8");
-        assert!(ck.model.net.f32().is_none(), "no f32 tensors in a .dshq");
-        // ≥3× smaller resident than the f32 original (acceptance bar).
-        assert!(ck.model.net.resident_bytes() as u64 * 3 <= f32_bytes);
-        // Scores match the in-memory quantized model exactly.
-        let seq: Vec<Vec<f32>> = (0..6).map(|i| model.vectorize(30.0 * i as f64, 0)).collect();
-        assert_eq!(
-            ck.model.net.score_stream_batch(&seq),
-            qmodel.net.score_stream_batch(&seq)
-        );
-    }
-
-    #[test]
-    fn load_any_checkpoint_sniffs_magic() {
-        let (model, vocab, chains) = trained_fixture(95);
-        let dir = std::env::temp_dir().join("desh_ckpt_sniff_test");
+    fn int8_checkpoint_is_refused_by_name() {
+        // A `.dshq` from an older build: magic, version, then anything.
+        let dir = std::env::temp_dir().join(format!("desh_ckpt_dshq_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let f32_path = dir.join("m.dshm");
-        let q_path = dir.join("m.dshq");
-        std::fs::write(&f32_path, encode_checkpoint(&model, &vocab, &chains, "", 0)).unwrap();
-        let qmodel = model.quantize();
-        std::fs::write(
-            &q_path,
-            encode_quantized_checkpoint(&qmodel, &vocab, &chains, "", 0, 0),
-        )
-        .unwrap();
-        assert_eq!(
-            load_any_checkpoint(&f32_path).unwrap().model.net.precision(),
-            "f32"
-        );
-        assert_eq!(
-            load_any_checkpoint(&q_path).unwrap().model.net.precision(),
-            "int8"
-        );
+        let path = dir.join("m.dshq");
+        let mut bytes = b"DSHQ".to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 64]);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_checkpoint(&path).unwrap_err();
+        assert!(err.contains("int8 checkpoints (.dshq) are no longer supported"), "{err}");
+        // `capsule replay --model` resolves through the same loader.
+        let meta = desh_obs::CapsuleMeta::default();
+        let err = resolve_capsule_checkpoint(&meta, Some(&path)).unwrap_err();
+        assert!(err.contains("no longer supported"), "{err}");
+        // Any other foreign magic is still a plain decode error.
+        bytes[..4].copy_from_slice(b"ABCD");
+        let err = decode_checkpoint(bytes).unwrap_err();
+        assert!(!err.contains("int8"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

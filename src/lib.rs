@@ -49,8 +49,7 @@ pub mod prelude {
     pub use desh_baselines::{DeepLog, DeepLogConfig, NgramConfig, NgramModel};
     pub use desh_core::{
         extract_chains, extract_episodes, sensitivity_sweep, unknown_contributions, Confusion,
-        Desh, DeshConfig, DeshReport, EpisodeConfig, FailureChain, LeadTimeModel, ScoringNet,
-        Verdict,
+        Desh, DeshConfig, DeshReport, EpisodeConfig, FailureChain, LeadTimeModel, Verdict,
     };
     pub use desh_loggen::{
         generate, Cluster, Dataset, FailureClass, GroundTruthFailure, Label, LogRecord, NodeId,

@@ -22,7 +22,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// bytes sealed *before* streaming — live interning grows the shared
 /// vocabulary, and replay must start from the pristine one, exactly as a
 /// `.dshm` on disk would.
-fn capture_fixture(train_seed: u64, int8: bool, dir: &Path) -> (Capsule, Vec<u8>) {
+fn capture_fixture(train_seed: u64, dir: &Path) -> (Capsule, Vec<u8>) {
     let mut p = SystemProfile::tiny();
     p.failures = 30;
     p.nodes = 24;
@@ -38,14 +38,12 @@ fn capture_fixture(train_seed: u64, int8: bool, dir: &Path) -> (Capsule, Vec<u8>
         0xde5,
     );
 
-    let model = if int8 {
-        trained.lead_model.clone().quantize()
-    } else {
-        trained.lead_model.clone()
-    };
-    let precision = model.net.precision();
     let vocab = trained.parsed_train.vocab.clone();
-    let mut det = OnlineDetector::new(model, Arc::clone(&vocab), desh.cfg.clone());
+    let mut det = OnlineDetector::new(
+        trained.lead_model.clone(),
+        Arc::clone(&vocab),
+        desh.cfg.clone(),
+    );
     det.attach_chains(&trained.phase1.chains);
     let tap = Arc::new(CaptureTap::with_ring(test.records.len() + 8));
     det.attach_capture(Arc::clone(&tap));
@@ -54,7 +52,7 @@ fn capture_fixture(train_seed: u64, int8: bool, dir: &Path) -> (Capsule, Vec<u8>
         run_id: "e2e-run".into(),
         config_hash: 0xde5,
         backend: desh::nn::kernel_backend_name().to_string(),
-        precision: precision.to_string(),
+        precision: "f32".into(),
         shards: String::new(),
         vocab_len: vocab.len() as u64,
         chains: trained.phase1.chains.len() as u64,
@@ -164,7 +162,7 @@ fn capsule_captured_under_batching_replays_bit_exactly() {
 #[test]
 fn replay_is_bit_exact_on_the_same_backend() {
     let dir = temp_dir("exact");
-    let (capsule, ckpt) = capture_fixture(777, false, &dir);
+    let (capsule, ckpt) = capture_fixture(777, &dir);
     assert!(capsule.meta.clean_start, "full-stream ring must be clean");
     assert!(capsule.traced_events() > 0, "no decision traces captured");
     assert!(!capsule.warnings.is_empty(), "no warnings captured");
@@ -187,37 +185,14 @@ fn replay_is_bit_exact_on_the_same_backend() {
 }
 
 #[test]
-fn int8_capsule_replays_bit_exactly_through_requantization() {
-    // The capsule pins precision "int8"; the checkpoint holds f32 weights.
-    // Replay must re-quantize (deterministic) and still agree on every bit.
-    let dir = temp_dir("int8");
-    let (capsule, ckpt) = capture_fixture(777, true, &dir);
-    assert_eq!(capsule.meta.precision, "int8");
-
-    let ck = decode_checkpoint(ckpt).unwrap();
-    assert_eq!(ck.model.net.precision(), "f32");
-    let report = replay_capsule(
-        &capsule,
-        ck.model,
-        ck.vocab,
-        &ck.chains,
-        &ReplayOptions::default(),
-    )
-    .unwrap();
-    assert_eq!(report.precision, "int8", "replay did not requantize");
-    assert!(report.bit_exact(), "diverged:\n{}", render_report(&report));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn diff_pinpoints_first_divergent_event_under_a_different_checkpoint() {
     // Same dataset, different training seed: same vocabulary and event
     // stream, different weights. Replay must diverge at the first scored
     // event, and the diff must name it with per-field bit-level deltas.
     let dir_a = temp_dir("diff-a");
     let dir_b = temp_dir("diff-b");
-    let (capsule, _) = capture_fixture(777, false, &dir_a);
-    let (_, other_ckpt) = capture_fixture(901, false, &dir_b);
+    let (capsule, _) = capture_fixture(777, &dir_a);
+    let (_, other_ckpt) = capture_fixture(901, &dir_b);
 
     let ck = decode_checkpoint(other_ckpt).unwrap();
     let report = replay_capsule(
@@ -255,7 +230,7 @@ fn diff_pinpoints_first_divergent_event_under_a_different_checkpoint() {
 #[test]
 fn backend_and_precision_pinning_refuse_mismatched_replays() {
     let dir = temp_dir("pin");
-    let (capsule, ckpt) = capture_fixture(777, false, &dir);
+    let (capsule, ckpt) = capture_fixture(777, &dir);
 
     // A capsule captured under a backend this host does not dispatch.
     let mut forged = capsule.clone();
@@ -283,23 +258,29 @@ fn backend_and_precision_pinning_refuse_mismatched_replays() {
         &ck.chains,
         &ReplayOptions {
             allow_backend_mismatch: true,
-            ..Default::default()
         },
     )
     .unwrap();
     assert!(report.bit_exact());
 
-    // An f32 capsule cannot replay through int8-only weights: the
-    // widening is lossy, so refuse rather than report fake divergence.
+    // Scoring is f32 only: a capsule pinned to any other precision (one
+    // sealed by an int8 build) is refused by name, not replayed into a
+    // divergence report.
+    let mut forged = capsule.clone();
+    forged.meta.precision = "int8".into();
     let ck = decode_checkpoint(ckpt).unwrap();
     let err = replay_capsule(
-        &capsule,
-        ck.model.quantize(),
+        &forged,
+        ck.model,
         ck.vocab,
         &ck.chains,
         &ReplayOptions::default(),
     )
     .unwrap_err();
-    assert!(err.contains("precision mismatch"), "{err}");
+    assert!(
+        err.contains("unsupported capsule precision 'int8'"),
+        "{err}"
+    );
+    assert!(err.contains("no longer supported"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -332,3 +332,116 @@ proptest! {
         prop_assert_eq!(ab_c.count(), (a.len() + b.len() + c.len()) as u64);
     }
 }
+
+// ---- checkpoints: corrupt `.dshm` files ----------------------------------------
+
+/// A small valid v3 `.dshm`: an untrained two-layer net over six templates,
+/// two failure chains and a provenance stamp.
+fn dshm_fixture() -> Vec<u8> {
+    let vocab = desh::logparse::Vocab::new();
+    for t in [
+        "boot ok",
+        "mce error bank <n>",
+        "link down",
+        "panic at <n>",
+        "fs full",
+        "node down",
+    ] {
+        vocab.intern(t);
+    }
+    let mut rng = Xoshiro256pp::seed_from_u64(5);
+    let model = LeadTimeModel {
+        net: VectorLstm::new(vocab.len() + 1, 6, 2, &mut rng),
+        dt_scale: 300.0,
+        vocab_size: vocab.len(),
+        history: 5,
+        losses: Vec::new(),
+    };
+    let chain = |node: usize, phrases: &[u32]| FailureChain {
+        node: NodeId::from_index(node),
+        terminal_time: Micros(60_000_000),
+        events: phrases
+            .iter()
+            .enumerate()
+            .map(|(k, &phrase)| desh::core::ChainEvent {
+                time: Micros(k as u64 * 10_000_000),
+                phrase,
+                delta_t: (phrases.len() - k) as f64 * 10.0,
+            })
+            .collect(),
+    };
+    let chains = [chain(3, &[1, 2, 5]), chain(40, &[0, 3, 4, 5])];
+    desh::checkpoint::encode_checkpoint(&model, &vocab, &chains, "fixture", 0xd54c)
+}
+
+/// A decoded checkpoint's shapes agree, and it scores the way `predict`
+/// and `serve` drive it: streams, waves, a warning's lead window, and
+/// the online detector with chains attached.
+fn assert_scores(ck: desh::checkpoint::Checkpoint) {
+    let m = &ck.model;
+    assert_eq!(m.net.dim(), m.vocab_size + 1);
+    assert_eq!(ck.vocab.len(), m.vocab_size);
+    let span = m.vocab_size as u32 + 2;
+    let events: Vec<(Micros, u32)> = (0..8u32)
+        .map(|k| (Micros(u64::from(k) * 7_000_000), k * 3 % span))
+        .collect();
+    let mut stream = m.begin_stream();
+    let mut batch = m.begin_batch(2);
+    let mut scores = Vec::new();
+    for &(t, p) in &events {
+        m.stream_push(&mut stream, t, p);
+        m.batch_stage(&mut batch, 1, t, p);
+        m.batch_push_rows(&mut batch, &[1], &mut scores);
+    }
+    m.predict_lead(&events, &mut desh::nn::WindowScratch::new());
+    let mut det = desh::core::OnlineDetector::new(ck.model, ck.vocab, DeshConfig::default());
+    det.attach_chains(&ck.chains);
+    for (k, text) in ["mce error bank 4", "link down", "panic at 7", "node down"]
+        .iter()
+        .cycle()
+        .take(12)
+        .enumerate()
+    {
+        let at = Micros(k as u64 * 5_000_000);
+        det.ingest(&LogRecord::new(at, NodeId::from_index(3), text.to_string()));
+    }
+}
+
+#[test]
+fn dshm_decoder_rejects_every_truncation() {
+    let bytes = dshm_fixture();
+    assert_scores(desh::checkpoint::decode_checkpoint(bytes.clone()).unwrap());
+    for cut in 0..bytes.len() {
+        assert!(
+            desh::checkpoint::decode_checkpoint(bytes[..cut].to_vec()).is_err(),
+            "a {cut}-byte prefix of a {}-byte checkpoint decoded",
+            bytes.len()
+        );
+    }
+}
+
+proptest! {
+    // Random byte corruption never panics the decoder: each corrupt file
+    // either fails to decode or yields a model whose shapes agree and
+    // that scores without panicking. Half the flips land in the head and
+    // tail, where the counts, dims and chains live; the rest anywhere.
+    #[test]
+    fn dshm_decoder_survives_random_corruption(seed in any::<u64>()) {
+        let clean = dshm_fixture();
+        let len = clean.len() as u64;
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        for _ in 0..64 {
+            let mut bytes = clean.clone();
+            for _ in 0..1 + rng.below(4) {
+                let at = match rng.below(2) {
+                    0 => rng.below(len),
+                    _ => (rng.below(768) + len - 256) % len,
+                };
+                bytes[at as usize] ^= 1 + rng.below(255) as u8;
+            }
+            if let Ok(ck) = desh::checkpoint::decode_checkpoint(bytes) {
+                assert_scores(ck);
+            }
+        }
+    }
+}
