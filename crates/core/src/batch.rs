@@ -28,11 +28,13 @@
 //! * Shared decision code: thresholding and warning construction call
 //!   the same [`evaluate_stream`] the sequential detector uses.
 //!
-//! Throughput comes from the batching *and* from the preprocessing fast
-//! path: zero-alloc templating ([`extract_template_into`]) plus a
-//! template→(phrase, label, terminal) memo that collapses the per-event
-//! label/intern/terminal work to one hash probe for every template seen
-//! before.
+//! Throughput comes from the batching *and* from classifying each line
+//! once: a [`Classifier`] templates it into a reused buffer and answers
+//! Safe, or a phrase id and terminal flag, with one hash probe for every
+//! template seen before. [`BatchDetector::ingest_chunk`] classifies
+//! records itself; the intake classifies lines on the thread that parses
+//! them and hands over [`ClassifiedLine`]s, whose Safe lines carry no
+//! text. Both feed the same decision core.
 
 use crate::chain::FailureChain;
 use crate::config::DeshConfig;
@@ -40,8 +42,8 @@ use crate::explain::ChainMatcher;
 use crate::online::{evaluate_stream, push_episode_event, EvictionPolicy, Tracer, Warning};
 use crate::phase2::{LeadBatch, LeadTimeModel};
 use crate::shadow::ShadowScorer;
-use desh_loggen::{Label, LogRecord, NodeId};
-use desh_logparse::{extract_template_into, is_failure_terminal, label_template, Vocab};
+use desh_loggen::{LogRecord, NodeId};
+use desh_logparse::{Class, Classifier, Vocab};
 use desh_obs::{
     CapsuleEvent, CaptureTap, Counter, FlightRecorder, LatencyHistogram, NodeCapture, NodeFlight,
     QualityMonitor, Telemetry, TraceEvent, WarningLog,
@@ -51,21 +53,43 @@ use desh_util::Micros;
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
-/// Cached per-template preprocessing verdict. Safe templates are *not*
-/// interned (the sequential path returns before interning them), so the
-/// memo must record safety without consuming a phrase id.
-#[derive(Debug, Clone, Copy)]
-struct TemplateInfo {
-    phrase: u32,
-    safe: bool,
-    terminal: bool,
+/// A line classified where it was parsed, as it crosses an intake shard
+/// queue.
+#[derive(Debug)]
+pub(crate) enum ClassifiedLine {
+    /// A Safe line: no text and no allocation. The detector only counts
+    /// it and hands its time to an attached shadow.
+    Safe { time: Micros, node: NodeId },
+    /// A line the detector buffers, never templated again.
+    Event {
+        record: LogRecord,
+        phrase: u32,
+        terminal: bool,
+    },
 }
 
-/// Memo capacity: templates are mined down to a few hundred distinct
-/// strings in practice, so the cap only guards against template-cardinality
-/// blowup (e.g. a miner regression). Past it, misses fall back to the
-/// uncached label/intern path — same results, slower.
-const MEMO_CAP: usize = 4096;
+impl ClassifiedLine {
+    /// Classify a parsed line through `classifier`; only a non-Safe
+    /// line's text is copied.
+    pub(crate) fn new(classifier: &mut Classifier, time: Micros, node: NodeId, text: &str) -> Self {
+        match classifier.classify(text) {
+            Class::Safe => ClassifiedLine::Safe { time, node },
+            Class::Event { phrase, terminal } => ClassifiedLine::Event {
+                record: LogRecord::new(time, node, text),
+                phrase,
+                terminal,
+            },
+        }
+    }
+}
+
+/// One non-Safe line as the decision core reads it.
+#[derive(Debug, Clone, Copy)]
+struct Event<'a> {
+    record: &'a LogRecord,
+    phrase: u32,
+    terminal: bool,
+}
 
 /// Per-slot node state: the sequential detector's `NodeState` with the
 /// carried stream replaced by slot residency in the shared [`LeadBatch`].
@@ -105,8 +129,8 @@ impl SlotState {
 }
 
 /// In-order bookkeeping deferred from staging time to the post-step walk.
-/// `rec` indexes the chunk being ingested; all fields are plain values so
-/// the walk borrows nothing from the staging pass.
+/// `rec` indexes the chunk's events; all fields are plain values so the
+/// walk borrows nothing from the staging pass.
 #[derive(Debug, Clone, Copy)]
 enum Deferred {
     /// A scored event: evaluate, trace, capture after the wave step.
@@ -165,14 +189,15 @@ struct BatchMetrics {
 pub struct BatchDetector {
     model: LeadTimeModel,
     cfg: DeshConfig,
-    vocab: Arc<Vocab>,
+    /// Classifies the records [`BatchDetector::ingest_chunk`] is given;
+    /// its vocabulary is the one warnings render evidence from.
+    classifier: Classifier,
     /// node → slot index.
     nodes: HashMap<NodeId, usize>,
     /// Slot-indexed node states; `None` = free slot.
     slots: Vec<Option<SlotState>>,
     free: Vec<usize>,
     batch: LeadBatch,
-    memo: HashMap<String, TemplateInfo>,
     train_vocab: u32,
     quality: Option<QualityMonitor>,
     chains: ChainMatcher,
@@ -199,7 +224,6 @@ pub struct BatchDetector {
     staged_rows: Vec<usize>,
     wave_scores: Vec<Option<f64>>,
     deferred: Vec<Deferred>,
-    tmpl: String,
     replay_scores: Vec<Option<f64>>,
 }
 
@@ -237,12 +261,11 @@ impl BatchDetector {
         Self {
             model,
             cfg,
-            vocab,
+            classifier: Classifier::with_telemetry(vocab, telemetry),
             nodes: HashMap::new(),
             slots: (0..slots).map(|_| None).collect(),
             free: (0..slots).rev().collect(),
             batch,
-            memo: HashMap::new(),
             train_vocab,
             quality: QualityMonitor::new(telemetry),
             chains: ChainMatcher::default(),
@@ -264,9 +287,13 @@ impl BatchDetector {
             staged_rows: Vec::new(),
             wave_scores: Vec::new(),
             deferred: Vec::new(),
-            tmpl: String::new(),
             replay_scores: Vec::new(),
         }
+    }
+
+    /// The vocabulary phrase ids come from.
+    pub(crate) fn vocab(&self) -> &Arc<Vocab> {
+        self.classifier.vocab()
     }
 
     /// Attach the trained failure chains so warnings can name the nearest
@@ -353,34 +380,58 @@ impl BatchDetector {
     /// extends past the chunk: state is fully settled on return.
     pub fn ingest_chunk(&mut self, records: &[LogRecord], warnings: &mut Vec<Warning>) {
         let warn_base = warnings.len();
-        for (rec, record) in records.iter().enumerate() {
-            extract_template_into(&record.text, &mut self.tmpl);
-            let info = match self.memo.get(self.tmpl.as_str()) {
-                Some(&info) => info,
-                None => {
-                    let info = if label_template(&self.tmpl) == Label::Safe {
-                        TemplateInfo {
-                            phrase: 0,
-                            safe: true,
-                            terminal: false,
-                        }
-                    } else {
-                        TemplateInfo {
-                            phrase: self.vocab.intern(&self.tmpl),
-                            safe: false,
-                            terminal: is_failure_terminal(&self.tmpl),
-                        }
-                    };
-                    if self.memo.len() < MEMO_CAP {
-                        self.memo.insert(self.tmpl.clone(), info);
-                    }
-                    info
-                }
-            };
-            if info.safe {
-                continue;
+        let mut events = Vec::new();
+        for record in records {
+            if let Class::Event { phrase, terminal } = self.classifier.classify(&record.text) {
+                events.push(Event {
+                    record,
+                    phrase,
+                    terminal,
+                });
             }
-            let phrase = info.phrase;
+        }
+        self.decide(&events, warnings);
+        if let Some(shadow) = &mut self.shadow {
+            let lines = records.iter().map(|r| (r.node, r.time, Some(r)));
+            feed_shadow(shadow, &warnings[warn_base..], lines);
+        }
+    }
+
+    /// [`BatchDetector::ingest_chunk`] for lines the intake already
+    /// classified against this detector's vocabulary: Safe lines reach
+    /// only an attached shadow.
+    pub(crate) fn ingest_lines(&mut self, lines: &[ClassifiedLine], warnings: &mut Vec<Warning>) {
+        let warn_base = warnings.len();
+        let events: Vec<Event> = lines
+            .iter()
+            .filter_map(|line| match line {
+                ClassifiedLine::Safe { .. } => None,
+                ClassifiedLine::Event {
+                    record,
+                    phrase,
+                    terminal,
+                } => Some(Event {
+                    record,
+                    phrase: *phrase,
+                    terminal: *terminal,
+                }),
+            })
+            .collect();
+        self.decide(&events, warnings);
+        if let Some(shadow) = &mut self.shadow {
+            let lines = lines.iter().map(|line| match line {
+                ClassifiedLine::Safe { time, node } => (*node, *time, None),
+                ClassifiedLine::Event { record, .. } => (record.node, record.time, Some(record)),
+            });
+            feed_shadow(shadow, &warnings[warn_base..], lines);
+        }
+    }
+
+    /// The decision core: a chunk's non-Safe events in arrival order,
+    /// staged into waves, stepped, and walked in order.
+    fn decide(&mut self, events: &[Event], warnings: &mut Vec<Warning>) {
+        for (rec, ev) in events.iter().enumerate() {
+            let (record, phrase) = (ev.record, ev.phrase);
             if let Some(q) = &self.quality {
                 q.record_template(phrase >= self.train_vocab);
             }
@@ -389,13 +440,13 @@ impl BatchDetector {
 
             let slot = match self.nodes.get(&record.node) {
                 Some(&s) => s,
-                None => self.alloc_slot(record.node, records, warnings),
+                None => self.alloc_slot(record.node, events, warnings),
             };
             // Wave cut: this node already staged a sample in the current
             // wave; advancing it again (or resetting its buffer) before
             // that sample is stepped would corrupt the pending score.
             if self.slots[slot].as_ref().is_some_and(|s| s.staged) {
-                self.flush_wave(records, warnings);
+                self.flush_wave(events, warnings);
             }
 
             // Buffer bookkeeping, exactly the sequential detector's order:
@@ -428,7 +479,7 @@ impl BatchDetector {
                 }
             }
 
-            if info.terminal {
+            if ev.terminal {
                 self.buffered_total -= st.events.len() as u64;
                 st.events.clear();
                 st.warned = false;
@@ -486,40 +537,17 @@ impl BatchDetector {
                 replayed,
             });
         }
-        self.flush_wave(records, warnings);
+        self.flush_wave(events, warnings);
         if self.since_sweep >= self.eviction.sweep_every {
             self.since_sweep = 0;
             self.sweep_idle_slots();
-        }
-        if let Some(shadow) = &mut self.shadow {
-            // Feed the settled chunk in record order, interleaving each
-            // primary warning just before the record that triggered it so
-            // the monitor's slack window sees monotone timestamps. The
-            // primary fired those warnings above; this pass only observes.
-            let fired = &warnings[warn_base..];
-            let mut used = vec![false; fired.len()];
-            for record in records {
-                for (i, w) in fired.iter().enumerate() {
-                    if !used[i] && w.node == record.node && w.at == record.time {
-                        used[i] = true;
-                        shadow.observe_primary_warning(w);
-                        break;
-                    }
-                }
-                shadow.observe_record(record);
-            }
         }
     }
 
     /// Resolve a slot for a new node: reuse a free slot, or — when the
     /// shard is at capacity — evict the longest-idle resident (first
     /// slot on ties). Returns an empty, registered slot.
-    fn alloc_slot(
-        &mut self,
-        node: NodeId,
-        records: &[LogRecord],
-        warnings: &mut Vec<Warning>,
-    ) -> usize {
+    fn alloc_slot(&mut self, node: NodeId, events: &[Event], warnings: &mut Vec<Warning>) -> usize {
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -536,7 +564,7 @@ impl BatchDetector {
                 // resident's deferred work is keyed by record and node,
                 // so the wave carries on.
                 if self.slots[lru].as_ref().is_some_and(|s| s.staged) {
-                    self.flush_wave(records, warnings);
+                    self.flush_wave(events, warnings);
                 }
                 self.evict_slot(lru);
                 self.free.pop().expect("eviction freed a slot")
@@ -588,7 +616,7 @@ impl BatchDetector {
     /// bookkeeping in record order: evaluate/trace/capture for scored
     /// events, ordered capture for silent ones. On return nothing is
     /// staged or deferred.
-    fn flush_wave(&mut self, records: &[LogRecord], warnings: &mut Vec<Warning>) {
+    fn flush_wave(&mut self, events: &[Event], warnings: &mut Vec<Warning>) {
         if !self.staged_rows.is_empty() {
             let cached = self.model.batch_push_rows(
                 &mut self.batch,
@@ -616,14 +644,14 @@ impl BatchDetector {
                     episode_reset,
                     replayed,
                 } => {
-                    let record = &records[rec];
+                    let record = events[rec].record;
                     let transitions = self.batch.transitions(slot);
                     let mean_raw = self.model.batch_mean(&self.batch, slot);
                     let step_raw = self.slots[slot].as_ref().unwrap().step_raw;
                     let warning = evaluate_stream(
                         &self.model,
                         &self.cfg,
-                        &self.vocab,
+                        self.classifier.vocab(),
                         &mut self.chains,
                         &mut self.window,
                         &self.slots[slot].as_ref().unwrap().events,
@@ -696,7 +724,7 @@ impl BatchDetector {
                     episode_reset,
                 } => {
                     if let Some(tap) = &self.capture {
-                        let record = &records[rec];
+                        let record = events[rec].record;
                         let ring = self
                             .rings
                             .entry(record.node)
@@ -720,12 +748,41 @@ impl BatchDetector {
     }
 }
 
+/// Feed a settled chunk to a shadow in line order, each primary warning
+/// just before the first line with its node and time, so the monitor's
+/// slack window sees monotone timestamps. The primary fired those
+/// warnings already; this pass only observes. A Safe line (no record)
+/// is handed over by its time alone.
+fn feed_shadow<'a>(
+    shadow: &mut ShadowScorer,
+    fired: &[Warning],
+    lines: impl Iterator<Item = (NodeId, Micros, Option<&'a LogRecord>)>,
+) {
+    let mut used = vec![false; fired.len()];
+    for (node, time, record) in lines {
+        for (i, w) in fired.iter().enumerate() {
+            if !used[i] && w.node == node && w.at == time {
+                used[i] = true;
+                shadow.observe_primary_warning(w);
+                break;
+            }
+        }
+        match record {
+            Some(r) => {
+                shadow.observe_record(r);
+            }
+            None => shadow.observe_safe(time),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::online::OnlineDetector;
     use crate::pipeline::Desh;
-    use desh_loggen::{generate, Dataset, SystemProfile};
+    use desh_loggen::{generate, Dataset, Label, SystemProfile};
+    use desh_logparse::{is_failure_terminal, label_template};
 
     fn fixture(seed: u64) -> (crate::pipeline::TrainedDesh, DeshConfig, Dataset) {
         let mut p = SystemProfile::tiny();

@@ -10,6 +10,17 @@
 //! sequential detector over that shard's substream (the batch detector's
 //! test-gated contract).
 //!
+//! Every line is classified once, on the thread that parses it: a
+//! connection thread (or the caller of [`IntakeServer::push_record`],
+//! [`IntakeServer::push_records`] and [`IntakeServer::push_line`], which
+//! share one classifier) parses clock and node without allocating,
+//! templates the text straight from the read buffer, and looks the
+//! template up in a [`Classifier`] over the shards' one vocabulary. A
+//! Safe line crosses the shard queue as a text-free entry that the worker
+//! only counts (and hands to an attached shadow by its time); any other
+//! line carries its phrase id and terminal flag and is never templated
+//! again.
+//!
 //! Queues are bounded (`queue_depth`) with explicit backpressure:
 //!
 //! * [`Backpressure::Block`] (default) — producers wait for space; no
@@ -33,10 +44,11 @@
 //! and each one refused past that is counted
 //! (`ingest.refused_connections`).
 
-use crate::batch::BatchDetector;
+use crate::batch::{BatchDetector, ClassifiedLine};
 use crate::online::Warning;
 use crate::router::shard_of;
 use desh_loggen::{DayClock, LogRecord};
+use desh_logparse::{Classifier, Vocab};
 use desh_obs::{Counter, Gauge, LatencyHistogram, Telemetry};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read};
@@ -129,9 +141,10 @@ struct ShardQueue {
 
 #[derive(Debug, Default)]
 struct QueueState {
-    /// Each record carries its enqueue instant so the worker can measure
-    /// queue wait (enqueue → drain) into `ingest.queue_wait_us[shard=N]`.
-    buf: VecDeque<(Instant, LogRecord)>,
+    /// Each line carries its enqueue instant, read once per pushed group,
+    /// so the worker can measure queue wait (enqueue → drain) into
+    /// `ingest.queue_wait_us[shard=N]`.
+    buf: VecDeque<(Instant, ClassifiedLine)>,
     /// No more pushes; workers exit once the buffer drains.
     closed: bool,
     /// The worker is mid-chunk (drained records not yet scored).
@@ -179,10 +192,22 @@ struct Inner {
     rejected: [AtomicU64; 3],
     /// Connections closed at accept because [`MAX_CONNECTIONS`] were open.
     refused: AtomicU64,
-    /// Day reconstruction for lines pushed through
-    /// [`IntakeServer::push_line`] (each TCP connection keeps its own).
-    line_clock: Mutex<DayClock>,
+    /// The vocabulary every shard detector shares; each connection's
+    /// classifier interns into it.
+    vocab: Arc<Vocab>,
+    telemetry: Telemetry,
+    /// Classification and day reconstruction for lines pushed through
+    /// the server handle (each TCP connection keeps its own).
+    pushed: Mutex<PushState>,
     shutdown: AtomicBool,
+}
+
+/// What the push methods share: one classifier, and the day clock of the
+/// lines [`IntakeServer::push_line`] is given.
+#[derive(Debug)]
+struct PushState {
+    classifier: Classifier,
+    clock: DayClock,
 }
 
 impl Inner {
@@ -212,13 +237,19 @@ pub struct IntakeServer {
 impl IntakeServer {
     /// Start one worker per detector (shard `i` owns `detectors[i]`).
     /// Per-shard gauges and drop counters register in `telemetry` when it
-    /// is enabled.
+    /// is enabled. Lines are classified before they are routed, so every
+    /// detector must share one vocabulary.
     pub fn start(
         detectors: Vec<BatchDetector>,
         cfg: IntakeConfig,
         telemetry: &Telemetry,
     ) -> IntakeServer {
         assert!(!detectors.is_empty(), "intake needs at least one shard");
+        let vocab = Arc::clone(detectors[0].vocab());
+        assert!(
+            detectors.iter().all(|d| Arc::ptr_eq(d.vocab(), &vocab)),
+            "intake shards must share one vocabulary"
+        );
         assert!(cfg.queue_depth > 0, "queue depth must be non-zero");
         assert!(cfg.batch_max > 0, "batching window must be non-zero");
         let shards = detectors.len();
@@ -252,7 +283,12 @@ impl IntakeServer {
             }),
             rejected: Default::default(),
             refused: AtomicU64::new(0),
-            line_clock: Mutex::new(DayClock::new()),
+            pushed: Mutex::new(PushState {
+                classifier: Classifier::with_telemetry(Arc::clone(&vocab), telemetry),
+                clock: DayClock::new(),
+            }),
+            vocab,
+            telemetry: telemetry.clone(),
             shutdown: AtomicBool::new(false),
         });
         let workers = detectors
@@ -278,26 +314,38 @@ impl IntakeServer {
         self.inner.queues.len()
     }
 
-    /// Route one pre-parsed record to its shard, applying backpressure.
-    pub fn push_record(&self, record: LogRecord) {
-        let shards = self.shards();
-        push_group(
-            &self.inner,
-            shard_of(record.node, shards),
-            std::iter::once(record),
-        );
+    fn pushed(&self) -> std::sync::MutexGuard<'_, PushState> {
+        self.inner
+            .pushed
+            .lock()
+            .expect("no thread panics while classifying")
     }
 
-    /// Route a batch of pre-parsed records, amortizing the per-shard
-    /// lock/notify to once per call instead of once per record — the
-    /// producer-side fast path (a single-record `push_record` tops out
-    /// near the detector's own single-stream rate and becomes the
+    /// Classify one pre-parsed record and route it to its shard,
+    /// applying backpressure.
+    pub fn push_record(&self, record: LogRecord) {
+        let line = {
+            let classifier = &mut self.pushed().classifier;
+            ClassifiedLine::new(classifier, record.time, record.node, &record.text)
+        };
+        let shard = shard_of(record.node, self.shards());
+        push_group(&self.inner, shard, std::iter::once(line));
+    }
+
+    /// Classify and route a batch of pre-parsed records, amortizing the
+    /// per-shard lock/notify to once per call instead of once per record
+    /// — the producer-side fast path (a single-record `push_record` tops
+    /// out near the detector's own single-stream rate and becomes the
     /// bottleneck).
     pub fn push_records<I: IntoIterator<Item = LogRecord>>(&self, records: I) {
         let shards = self.shards();
-        let mut groups: Vec<Vec<LogRecord>> = (0..shards).map(|_| Vec::new()).collect();
-        for r in records {
-            groups[shard_of(r.node, shards)].push(r);
+        let mut groups: Vec<Vec<ClassifiedLine>> = (0..shards).map(|_| Vec::new()).collect();
+        {
+            let mut pushed = self.pushed();
+            for r in records {
+                let line = ClassifiedLine::new(&mut pushed.classifier, r.time, r.node, &r.text);
+                groups[shard_of(r.node, shards)].push(line);
+            }
         }
         for (shard, group) in groups.into_iter().enumerate() {
             if !group.is_empty() {
@@ -311,20 +359,21 @@ impl IntakeServer {
     /// whose 24 h clock is re-sequenced into absolute times (a backward
     /// clock step starts a new day), as `read_log_file` does.
     pub fn push_line(&self, line: &str) -> Result<(), String> {
-        let parsed = self
-            .inner
-            .line_clock
-            .lock()
-            .expect("no thread panics while holding the line clock")
-            .parse(line);
-        match parsed {
-            Ok(r) => {
-                self.push_record(r);
+        let classified = {
+            let PushState { classifier, clock } = &mut *self.pushed();
+            clock.parse_head(line).map(|h| {
+                let shard = shard_of(h.node, self.shards());
+                (shard, ClassifiedLine::new(classifier, h.time, h.node, h.text))
+            })
+        };
+        match classified {
+            Some((shard, l)) => {
+                push_group(&self.inner, shard, std::iter::once(l));
                 Ok(())
             }
-            Err(e) => {
+            None => {
                 self.inner.reject(RejectReason::Unparseable);
-                Err(format!("{e}"))
+                Err(format!("invalid log line: {line}"))
             }
         }
     }
@@ -476,7 +525,7 @@ impl Drop for IntakeServer {
     }
 }
 
-/// How many parsed records a connection thread accumulates per shard
+/// How many parsed lines a connection thread accumulates per shard
 /// before flushing into the queues. Bounds the parse-to-score latency a
 /// slow trickle can see while keeping lock traffic amortized.
 const CONN_FLUSH_EVERY: usize = 64;
@@ -532,19 +581,21 @@ fn read_bounded_line(
 /// timeouts polled against the shutdown flag so `stop()` never hangs on
 /// an idle client. Each connection is one ordered stream with its own
 /// [`DayClock`], so lines past 24:00 keep absolute times before they are
-/// routed. Lines that are too long, not UTF-8 or unparseable are counted
-/// by [`RejectReason`] and skipped; the connection stays open. Parsed
-/// records batch into per-shard groups and flush every
-/// [`CONN_FLUSH_EVERY`] records — and on every read stall/EOF, so a
-/// quiet line still reaches its detector promptly.
+/// routed, and its own [`Classifier`] over the shards' vocabulary. Lines
+/// that are too long, not UTF-8 or unparseable are counted by
+/// [`RejectReason`] and skipped; the connection stays open. Classified
+/// lines batch into per-shard groups and flush every [`CONN_FLUSH_EVERY`]
+/// lines — and on every read stall/EOF, so a quiet line still reaches
+/// its detector promptly.
 fn conn_loop(stream: std::net::TcpStream, inner: Arc<Inner>, shards: usize) {
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
     let mut skipping = false;
     let mut clock = DayClock::new();
-    let mut groups: Vec<Vec<LogRecord>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut classifier = Classifier::with_telemetry(Arc::clone(&inner.vocab), &inner.telemetry);
+    let mut groups: Vec<Vec<ClassifiedLine>> = (0..shards).map(|_| Vec::new()).collect();
     let mut pending = 0usize;
-    let flush = |groups: &mut Vec<Vec<LogRecord>>, pending: &mut usize| {
+    let flush = |groups: &mut Vec<Vec<ClassifiedLine>>, pending: &mut usize| {
         for (shard, group) in groups.iter_mut().enumerate() {
             if !group.is_empty() {
                 push_group(&inner, shard, group.drain(..));
@@ -569,15 +620,21 @@ fn conn_loop(stream: std::net::TcpStream, inner: Arc<Inner>, shards: usize) {
                     Ok(text) => {
                         let trimmed = text.trim_end_matches('\r');
                         if !trimmed.is_empty() {
-                            match clock.parse(trimmed) {
-                                Ok(r) => {
-                                    groups[shard_of(r.node, shards)].push(r);
+                            match clock.parse_head(trimmed) {
+                                Some(h) => {
+                                    let shard = shard_of(h.node, shards);
+                                    groups[shard].push(ClassifiedLine::new(
+                                        &mut classifier,
+                                        h.time,
+                                        h.node,
+                                        h.text,
+                                    ));
                                     pending += 1;
                                     if pending >= CONN_FLUSH_EVERY {
                                         flush(&mut groups, &mut pending);
                                     }
                                 }
-                                Err(_) => inner.reject(RejectReason::Unparseable),
+                                None => inner.reject(RejectReason::Unparseable),
                             }
                         }
                     }
@@ -599,13 +656,15 @@ fn conn_loop(stream: std::net::TcpStream, inner: Arc<Inner>, shards: usize) {
     }
 }
 
-/// Enqueue a pre-routed group of records on one shard under a single
-/// lock acquisition, applying backpressure per record. Shared by the
+/// Enqueue a pre-routed group of lines on one shard under a single lock
+/// acquisition, applying backpressure per line. The group shares one
+/// enqueue instant, read again after each wait for space. Shared by the
 /// server handle and the connection threads (which hold an `Arc<Inner>`).
-fn push_group<I: IntoIterator<Item = LogRecord>>(inner: &Inner, shard: usize, records: I) {
+fn push_group<I: IntoIterator<Item = ClassifiedLine>>(inner: &Inner, shard: usize, lines: I) {
     let sq = &inner.queues[shard];
     let mut st = sq.state.lock().unwrap();
-    for record in records {
+    let mut stamp = Instant::now();
+    for line in lines {
         while st.buf.len() >= inner.cfg.queue_depth {
             match inner.cfg.backpressure {
                 Backpressure::Block => {
@@ -617,6 +676,7 @@ fn push_group<I: IntoIterator<Item = LogRecord>>(inner: &Inner, shard: usize, re
                     // larger than the queue deadlocks on itself.
                     sq.not_empty.notify_one();
                     st = sq.changed.wait(st).unwrap();
+                    stamp = Instant::now();
                 }
                 Backpressure::DropOldest => {
                     st.buf.pop_front();
@@ -628,7 +688,7 @@ fn push_group<I: IntoIterator<Item = LogRecord>>(inner: &Inner, shard: usize, re
                 }
             }
         }
-        st.buf.push_back((Instant::now(), record));
+        st.buf.push_back((stamp, line));
     }
     if let Some(ms) = &inner.metrics {
         ms[shard].queue_depth.set(st.buf.len() as f64);
@@ -637,11 +697,13 @@ fn push_group<I: IntoIterator<Item = LogRecord>>(inner: &Inner, shard: usize, re
     sq.not_empty.notify_one();
 }
 
-/// Shard worker: drain up to `batch_max` records, score them as one
-/// chunk (waves batch within it), publish warnings, update gauges.
+/// Shard worker: drain up to `batch_max` lines, score them as one chunk
+/// (waves batch within it), publish warnings, update gauges. Queue wait
+/// is recorded once per run of lines that share an enqueue instant.
 fn worker_loop(shard: usize, mut det: BatchDetector, inner: Arc<Inner>) -> BatchDetector {
     let sq = &inner.queues[shard];
-    let mut chunk: Vec<LogRecord> = Vec::with_capacity(inner.cfg.batch_max);
+    let queue_wait = inner.metrics.as_ref().map(|ms| &ms[shard].queue_wait);
+    let mut chunk: Vec<ClassifiedLine> = Vec::with_capacity(inner.cfg.batch_max);
     let mut warnings: Vec<Warning> = Vec::new();
     let mut rate_t0 = Instant::now();
     let mut rate_n = 0u64;
@@ -657,21 +719,33 @@ fn worker_loop(shard: usize, mut det: BatchDetector, inner: Arc<Inner>) -> Batch
             st.inflight = true;
             let n = st.buf.len().min(inner.cfg.batch_max);
             let drained = Instant::now();
-            chunk.extend(st.buf.drain(..n).map(|(enq, r)| {
-                if let Some(ms) = &inner.metrics {
-                    ms[shard]
-                        .queue_wait
-                        .record(drained.saturating_duration_since(enq).as_micros() as u64);
+            let record_wait = |(enq, k): (Instant, u64)| {
+                if let Some(h) = queue_wait {
+                    h.record_n(drained.saturating_duration_since(enq).as_micros() as u64, k);
                 }
-                r
-            }));
+            };
+            let mut run: Option<(Instant, u64)> = None;
+            for (enq, line) in st.buf.drain(..n) {
+                chunk.push(line);
+                match &mut run {
+                    Some((at, k)) if *at == enq => *k += 1,
+                    _ => {
+                        if let Some(done) = run.replace((enq, 1)) {
+                            record_wait(done);
+                        }
+                    }
+                }
+            }
+            if let Some(done) = run {
+                record_wait(done);
+            }
             if let Some(ms) = &inner.metrics {
                 ms[shard].queue_depth.set(st.buf.len() as f64);
             }
         }
         sq.changed.notify_all();
 
-        det.ingest_chunk(&chunk, &mut warnings);
+        det.ingest_lines(&chunk, &mut warnings);
         inner.stats[shard]
             .processed
             .fetch_add(chunk.len() as u64, Ordering::Relaxed);
@@ -1008,6 +1082,54 @@ mod tests {
         assert_eq!(server.rejected(RejectReason::NotUtf8), 1);
         assert_eq!(server.rejected(RejectReason::Unparseable), 1);
         assert_eq!(server.parse_errors(), 3);
+        server.stop();
+    }
+
+    #[test]
+    fn distinct_unknown_lines_over_tcp_stay_within_the_vocabulary_bound() {
+        use desh_logparse::vocab::{MAX_TEMPLATES, MAX_TEMPLATE_BYTES};
+        let (t, cfg, _) = trained(507);
+        let telemetry = Telemetry::enabled();
+        let mut server = IntakeServer::start(
+            shard_detectors(&t, &cfg, 2, &telemetry),
+            IntakeConfig::default(),
+            &telemetry,
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        server.serve_tcp(listener).unwrap();
+        let vocab = Arc::clone(&t.parsed_train.vocab);
+        let trained_templates = vocab.len() as u64;
+
+        // Each line's template is new: a digit-free word no other line has.
+        let lines = 100_000u64;
+        let mut payload = String::new();
+        for i in 0..lines {
+            let mut word = String::new();
+            let mut k = i;
+            loop {
+                word.push(char::from(b'g' + (k % 20) as u8));
+                k /= 20;
+                if k == 0 {
+                    break;
+                }
+            }
+            payload.push_str(&format!("00:00:01.000000 c0-0c0s{}n0 novel fault {word}\n", i % 16));
+        }
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        conn.write_all(payload.as_bytes()).unwrap();
+        drop(conn);
+        wait_for("every line processed", || server.records_processed() == lines);
+        server.drain();
+
+        assert_eq!(vocab.len(), MAX_TEMPLATES, "the vocabulary filled to its bound");
+        assert!(vocab.bytes() <= MAX_TEMPLATE_BYTES);
+        let overflow = telemetry.snapshot().unwrap().counter("ingest.vocab_overflow");
+        assert_eq!(
+            overflow,
+            Some(lines - (MAX_TEMPLATES as u64 - trained_templates)),
+            "every line past the bound is counted"
+        );
         server.stop();
     }
 

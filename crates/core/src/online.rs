@@ -30,8 +30,8 @@ use crate::classes::classify_templates;
 use crate::config::DeshConfig;
 use crate::explain::ChainMatcher;
 use crate::phase2::{LeadStream, LeadTimeModel};
-use desh_loggen::{DayClock, FailureClass, Label, LogRecord, NodeId};
-use desh_logparse::{extract_template, is_failure_terminal, label_template, Vocab};
+use desh_loggen::{DayClock, FailureClass, LineHead, LogRecord, NodeId};
+use desh_logparse::{Class, Classifier, Vocab};
 use desh_obs::{
     ActiveWaterfall, CapsuleEvent, CaptureTap, Counter, FlightRecorder, Gauge, LatencyHistogram,
     NodeCapture, NodeFlight, QualityMonitor, SpanProfiler, Telemetry, TraceEvent, WarningLog,
@@ -200,7 +200,9 @@ impl EvictionPolicy {
 pub struct OnlineDetector {
     model: LeadTimeModel,
     cfg: DeshConfig,
-    vocab: Arc<Vocab>,
+    /// Safe / phrase-id verdict per line, memoised per template; its
+    /// vocabulary is the one warnings render evidence from.
+    classifier: Classifier,
     nodes: HashMap<NodeId, NodeState>,
     warnings_emitted: u64,
     events_seen: u64,
@@ -300,7 +302,7 @@ impl OnlineDetector {
         Self {
             model,
             cfg,
-            vocab,
+            classifier: Classifier::with_telemetry(vocab, telemetry),
             nodes: HashMap::new(),
             warnings_emitted: 0,
             events_seen: 0,
@@ -479,17 +481,25 @@ impl OnlineDetector {
     /// [`OnlineDetector::ingest`] starts at `template`.
     pub fn ingest_line(&mut self, line: &str) -> Result<Option<Warning>, String> {
         let mut wf = self.profiler.as_ref().and_then(|p| p.begin());
-        let record = self.day_clock.parse(line).map_err(|e| format!("{e}"))?;
+        let head = self
+            .day_clock
+            .parse_head(line)
+            .ok_or_else(|| format!("invalid log line: {line}"))?;
         if let Some(w) = wf.as_mut() {
             w.mark(STAGE_PARSE);
         }
-        Ok(self.ingest_sampled(&record, wf))
+        Ok(self.ingest_sampled(head, wf))
     }
 
     /// Ingest one structured record.
     pub fn ingest(&mut self, record: &LogRecord) -> Option<Warning> {
         let wf = self.profiler.as_ref().and_then(|p| p.begin());
-        self.ingest_sampled(record, wf)
+        let head = LineHead {
+            time: record.time,
+            node: record.node,
+            text: &record.text,
+        };
+        self.ingest_sampled(head, wf)
     }
 
     /// The per-event pipeline, optionally carrying a sampled waterfall
@@ -499,15 +509,13 @@ impl OnlineDetector {
     /// `cell_step` enter the profiler's full-waterfall ring.
     fn ingest_sampled(
         &mut self,
-        record: &LogRecord,
+        record: LineHead,
         mut wf: Option<ActiveWaterfall>,
     ) -> Option<Warning> {
         self.last_score = None;
-        let template = extract_template(&record.text);
-        if label_template(&template) == Label::Safe {
+        let Class::Event { phrase, terminal } = self.classifier.classify(record.text) else {
             return None;
-        }
-        let phrase = self.vocab.intern(&template);
+        };
         if let Some(q) = &self.quality {
             // A phrase id at or past the training vocabulary size is a
             // template the model never saw — the drift signal.
@@ -562,7 +570,7 @@ impl OnlineDetector {
         }
 
         // A terminal message ends the episode — too late to warn.
-        if is_failure_terminal(&template) {
+        if terminal {
             self.buffered_total -= state.events.len() as u64;
             state.events.clear();
             state.warned = false;
@@ -616,7 +624,7 @@ impl OnlineDetector {
         let warning = Self::evaluate(
             &self.model,
             &self.cfg,
-            &self.vocab,
+            self.classifier.vocab(),
             &mut self.chains,
             &mut self.window,
             state,
@@ -714,7 +722,7 @@ impl OnlineDetector {
     fn capture_event(
         tap: &Arc<CaptureTap>,
         state: &mut NodeState,
-        record: &LogRecord,
+        record: LineHead,
         phrase: u32,
         reset: bool,
         trace: Option<[u64; desh_obs::TRACE_WORDS]>,
@@ -726,7 +734,7 @@ impl OnlineDetector {
             seq: tap.next_seq(),
             at_us: record.time.0,
             node: record.node.to_string(),
-            text: record.text.clone(),
+            text: record.text.to_string(),
             phrase,
             reset,
             trace,
@@ -745,7 +753,7 @@ impl OnlineDetector {
         chains: &mut ChainMatcher,
         window: &mut WindowScratch,
         state: &NodeState,
-        record: &LogRecord,
+        record: LineHead,
     ) -> Option<Warning> {
         let ls = state.stream.as_ref()?;
         evaluate_stream(

@@ -27,7 +27,9 @@
 //!   differently. Replay pads the vocab with placeholder templates until
 //!   the captured id is reproduced; scoring is unaffected either way
 //!   (vectorize clamps out-of-vocab ids identically), but the trace's
-//!   `phrase` field must match for bit-exactness.
+//!   `phrase` field must match for bit-exactness. Padding stops at the
+//!   vocabulary's bound, so a capsule naming an id past
+//!   [`OVERFLOW_PHRASE`] is refused by event.
 
 use std::sync::Arc;
 
@@ -36,7 +38,7 @@ use crate::config::DeshConfig;
 use crate::online::OnlineDetector;
 use crate::phase2::LeadTimeModel;
 use desh_loggen::{LogRecord, NodeId};
-use desh_logparse::{extract_template, Vocab};
+use desh_logparse::{extract_template, Vocab, OVERFLOW_PHRASE};
 use desh_obs::{Capsule, CapsuleMeta, CaptureTap, TraceEvent, WarningRecord};
 use desh_util::Micros;
 
@@ -234,6 +236,19 @@ pub fn replay_capsule(
         ));
     }
 
+    if let Some((i, ev)) = capsule
+        .events
+        .iter()
+        .enumerate()
+        .find(|(_, ev)| ev.phrase > OVERFLOW_PHRASE)
+    {
+        return Err(format!(
+            "capsule event {i} (node {}, at_us {}) names phrase id {}, past the \
+             vocabulary bound {OVERFLOW_PHRASE}",
+            ev.node, ev.at_us, ev.phrase
+        ));
+    }
+
     let cfg = capsule_config(meta);
     let mut det = OnlineDetector::new(model, Arc::clone(&vocab), cfg);
     det.attach_chains(chains);
@@ -243,11 +258,14 @@ pub fn replay_capsule(
     for ev in &capsule.events {
         // Vocab alignment: reproduce the live interning order. If this
         // event's template is novel to the checkpoint vocab, pad until the
-        // next assigned id equals the captured one.
+        // next assigned id equals the captured one (a full vocabulary
+        // assigns the overflow id, as it did live).
         let template = extract_template(&ev.text);
         if vocab.get(&template).is_none() {
             while (vocab.len() as u32) < ev.phrase {
-                vocab.intern(&format!("__dcap_pad_{}", vocab.len()));
+                if vocab.intern(&format!("__dcap_pad_{}", vocab.len())) == OVERFLOW_PHRASE {
+                    break;
+                }
             }
         }
         let node: NodeId = ev

@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use desh_loggen::LogRecord;
 use desh_obs::{ObservedWarning, ShadowMonitor};
+use desh_util::Micros;
 
 use crate::online::{OnlineDetector, Warning};
 
@@ -88,6 +89,14 @@ impl ShadowScorer {
     /// warning, if it fired one.
     pub fn observe_record(&mut self, record: &LogRecord) -> Option<Warning> {
         self.observe_record_scored(record, None)
+    }
+
+    /// Batched-path half for a line the intake classified Safe: the
+    /// candidate would drop it unscored, so only its time reaches the
+    /// monitor, exactly as [`observe_record`](Self::observe_record)
+    /// reports a Safe record.
+    pub fn observe_safe(&mut self, at: Micros) {
+        self.monitor.observe_event(at.0, None, None);
     }
 
     /// Batched-path half: report one primary warning (matched to its

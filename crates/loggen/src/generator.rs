@@ -18,7 +18,7 @@
 //! 5. **Maintenance shutdowns** — cabinet-wide intentional reboots that a
 //!    correct pipeline must *not* count as node failures.
 
-use crate::nodeid::{Cluster, NodeId};
+use crate::nodeid::{Cluster, NodeId, NODES_PER_CABINET};
 use crate::phrases::{Label, Phrase};
 use crate::profile::SystemProfile;
 use crate::record::LogRecord;
@@ -126,7 +126,19 @@ pub fn generate(profile: &SystemProfile, seed: u64) -> Dataset {
     let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xDE5B_0001);
     let cluster = Cluster::with_nodes(profile.nodes);
     let span = profile.duration;
-    let mut records: Vec<LogRecord> = Vec::new();
+    let hours = span.0 as f64 / desh_util::time::MICROS_PER_HOUR as f64;
+    // One allocation up front, sized for the benign noise, about twenty
+    // records per failure (chain, near misses, calibration) and the
+    // maintenance reboots. Grown from empty instead, the vector regrows by
+    // realloc inside whichever malloc arena held its first small block:
+    // in a process whose other threads freed blocks to this one, another
+    // thread's arena, which then stays resident at tens of MiB after the
+    // vector outgrows it.
+    let rebooted = profile.maintenance_events * profile.nodes.min(NODES_PER_CABINET);
+    let expected = profile.nodes as f64 * hours * profile.noise_per_node_hour
+        + 20.0 * profile.failures as f64
+        + (rebooted * maintenance_sequence().len()) as f64;
+    let mut records: Vec<LogRecord> = Vec::with_capacity(expected as usize);
     let mut failures: Vec<GroundTruthFailure> = Vec::new();
     // Chain-membership counts for the Table 8 calibration pass.
     let mut in_chain: HashMap<Phrase, usize> = HashMap::new();
@@ -227,12 +239,10 @@ pub fn generate(profile: &SystemProfile, seed: u64) -> Dataset {
         .filter(|p| p.label() == Label::Safe)
         .collect();
     let cycles = crate::scenario::routine_cycles();
-    let hours = span.0 as f64 / desh_util::time::MICROS_PER_HOUR as f64;
     let rate_per_us = profile.noise_per_node_hour / desh_util::time::MICROS_PER_HOUR as f64;
     for (idx, node) in cluster.nodes().iter().enumerate() {
         let cycle = cycles[idx % cycles.len()];
         let mut pos = rng.index(cycle.len());
-        let _ = hours;
         let mut t = rng.exponential(rate_per_us);
         while (t as u64) < span.0 {
             let phrase = if rng.chance(0.04) {
@@ -310,6 +320,20 @@ mod tests {
         let c = tiny_dataset(43);
         assert_ne!(a.records.len(), 0);
         assert!(a.records != c.records, "different seeds must differ");
+    }
+
+    #[test]
+    fn records_fill_their_up_front_reservation() {
+        for profile in [SystemProfile::tiny(), SystemProfile::m1()] {
+            let d = generate(&profile, 5);
+            let (len, cap) = (d.records.len(), d.records.capacity());
+            // A regrowth would at least double the reservation.
+            assert!(
+                cap * 4 <= len * 5,
+                "{}: {len} records in {cap}",
+                profile.name
+            );
+        }
     }
 
     #[test]

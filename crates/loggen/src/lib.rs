@@ -31,5 +31,5 @@ pub use generator::{generate, Dataset, GroundTruthFailure};
 pub use nodeid::{Cluster, NodeId};
 pub use phrases::{Label, Phrase};
 pub use profile::SystemProfile;
-pub use record::{DayClock, LogRecord};
+pub use record::{DayClock, LineHead, LogRecord};
 pub use scenario::FailureClass;

@@ -87,6 +87,29 @@ impl NodeId {
     pub fn same_blade(self, other: NodeId) -> bool {
         self.same_cabinet(other) && self.chassis == other.chassis && self.slot == other.slot
     }
+
+    /// Parse a node id at the start of `b`, returning it and the bytes it
+    /// spans; the caller checks the byte that follows. The grammar is
+    /// `c X - Y c C s S n N`, each field an optional `+` and digits worth
+    /// at most 255 (as `u8::from_str` reads them), with chassis, slot and
+    /// node inside the topology bounds.
+    pub fn parse_prefix(b: &[u8]) -> Option<(NodeId, usize)> {
+        let mut fields = [0u8; 5];
+        let mut i = 0;
+        for (k, tag) in [b'c', b'-', b'c', b's', b'n'].into_iter().enumerate() {
+            if b.get(i) != Some(&tag) {
+                return None;
+            }
+            let (v, n) = desh_util::time::leading_u64(&b[i + 1..])?;
+            fields[k] = u8::try_from(v).ok()?;
+            i += 1 + n;
+        }
+        let [cab_x, cab_y, chassis, slot, node] = fields;
+        if chassis >= CHASSIS_PER_CABINET || slot >= SLOTS_PER_CHASSIS || node >= NODES_PER_SLOT {
+            return None;
+        }
+        Some((NodeId { cab_x, cab_y, chassis, slot, node }, i))
+    }
 }
 
 impl fmt::Display for NodeId {
@@ -116,21 +139,10 @@ impl FromStr for NodeId {
 
     /// Parse `c0-0c1s4n2`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = || ParseNodeIdError(s.to_string());
-        let rest = s.strip_prefix('c').ok_or_else(err)?;
-        let (cx, rest) = rest.split_once('-').ok_or_else(err)?;
-        let (cy, rest) = rest.split_once('c').ok_or_else(err)?;
-        let (ch, rest) = rest.split_once('s').ok_or_else(err)?;
-        let (sl, nd) = rest.split_once('n').ok_or_else(err)?;
-        let cab_x: u8 = cx.parse().map_err(|_| err())?;
-        let cab_y: u8 = cy.parse().map_err(|_| err())?;
-        let chassis: u8 = ch.parse().map_err(|_| err())?;
-        let slot: u8 = sl.parse().map_err(|_| err())?;
-        let node: u8 = nd.parse().map_err(|_| err())?;
-        if chassis >= CHASSIS_PER_CABINET || slot >= SLOTS_PER_CHASSIS || node >= NODES_PER_SLOT {
-            return Err(err());
+        match Self::parse_prefix(s.as_bytes()) {
+            Some((id, n)) if n == s.len() => Ok(id),
+            _ => Err(ParseNodeIdError(s.to_string())),
         }
-        Ok(NodeId { cab_x, cab_y, chassis, slot, node })
     }
 }
 

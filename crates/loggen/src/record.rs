@@ -59,15 +59,46 @@ impl FromStr for LogRecord {
     /// the time is the clock of day; [`DayClock`] re-sequences a stream of
     /// lines into absolute times.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = || ParseRecordError(s.to_string());
-        let mut parts = s.splitn(3, ' ');
-        let time = Micros::parse_clock(parts.next().ok_or_else(err)?).ok_or_else(err)?;
-        let node: NodeId = parts.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        let text = parts.next().ok_or_else(err)?.to_string();
-        if text.is_empty() {
-            return Err(err());
+        LineHead::parse(s)
+            .map(LineHead::to_record)
+            .ok_or_else(|| ParseRecordError(s.to_string()))
+    }
+}
+
+/// A raw line split without allocating: its clock, its node and the text
+/// borrowed from the line. Accepts exactly what [`LogRecord::from_str`]
+/// accepts: a clock, one space, a node id, one space, and non-empty text
+/// (kept verbatim, leading spaces included).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineHead<'a> {
+    /// Clock of day, or the absolute time once a [`DayClock`] placed it.
+    pub time: Micros,
+    /// Emitting node.
+    pub node: NodeId,
+    /// Message text, borrowed from the line.
+    pub text: &'a str,
+}
+
+impl<'a> LineHead<'a> {
+    /// Split a raw line; `None` when [`LogRecord::from_str`] would fail.
+    pub fn parse(line: &'a str) -> Option<Self> {
+        let b = line.as_bytes();
+        let (time, i) = Micros::parse_clock_prefix(b)?;
+        if b.get(i) != Some(&b' ') {
+            return None;
         }
-        Ok(LogRecord { time, node, text })
+        let (node, n) = NodeId::parse_prefix(&b[i + 1..])?;
+        let j = i + 1 + n;
+        if b.get(j) != Some(&b' ') || j + 1 == b.len() {
+            return None;
+        }
+        // Both delimiters are ASCII spaces, so `j + 1` is a char boundary.
+        Some(LineHead { time, node, text: &line[j + 1..] })
+    }
+
+    /// The owned record, text copied.
+    pub fn to_record(self) -> LogRecord {
+        LogRecord { time: self.time, node: self.node, text: self.text.to_string() }
     }
 }
 
@@ -92,15 +123,23 @@ impl DayClock {
     /// Parse the next raw line and give it its absolute time. A line that
     /// does not parse leaves the clock as it was.
     pub fn parse(&mut self, line: &str) -> Result<LogRecord, ParseRecordError> {
-        let mut r: LogRecord = line.parse()?;
-        let clock = r.time.0;
+        self.parse_head(line)
+            .map(LineHead::to_record)
+            .ok_or_else(|| ParseRecordError(line.to_string()))
+    }
+
+    /// [`DayClock::parse`] without allocating: the line's head, its time
+    /// made absolute. `None` (clock unmoved) when the line does not parse.
+    pub fn parse_head<'a>(&mut self, line: &'a str) -> Option<LineHead<'a>> {
+        let mut head = LineHead::parse(line)?;
+        let clock = head.time.0;
         if self.prev.is_some_and(|prev| clock < prev) {
             // Saturating: a peer can send any number of backward steps.
             self.day_offset = self.day_offset.saturating_add(MICROS_PER_DAY);
         }
         self.prev = Some(clock);
-        r.time = Micros(clock.saturating_add(self.day_offset));
-        Ok(r)
+        head.time = Micros(clock.saturating_add(self.day_offset));
+        Some(head)
     }
 }
 

@@ -46,13 +46,39 @@ pub fn extract_template(text: &str) -> String {
 pub fn extract_template_into(text: &str, out: &mut String) {
     out.clear();
     let mut first = true;
-    for tok in text.split_whitespace() {
+    let mut append = |tok: &str| {
         if !first {
             out.push(' ');
         }
         first = false;
         template_token_append(tok, out);
+    };
+    if !text.is_ascii() {
+        text.split_whitespace().for_each(append);
+        return;
     }
+    // In ASCII text `split_whitespace` splits on exactly the six ASCII
+    // whitespace bytes; splitting on them directly skips its per-char
+    // decoding.
+    let b = text.as_bytes();
+    let mut i = 0;
+    while i < b.len() {
+        if is_ascii_space(b[i]) {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < b.len() && !is_ascii_space(b[i]) {
+            i += 1;
+        }
+        append(&text[start..i]);
+    }
+}
+
+/// The ASCII bytes `char::is_whitespace` accepts: space, tab, line
+/// feed, vertical tab, form feed and carriage return.
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | 0x0B | 0x0C | b'\r')
 }
 
 /// Similarity of two equal-length token templates: fraction of positions

@@ -230,6 +230,23 @@ pub fn template_token_append(tok: &str, out: &mut String) {
     while r > l && is_trim_byte(bytes[r - 1]) {
         r -= 1;
     }
+    // A token without a digit skips both tiers' scans: every digit-free
+    // dynamic core is `*`, a path, or an all-hex word of 12 or more
+    // letters, and no embedded rewrite starts without a digit.
+    if !bytes.iter().any(u8::is_ascii_digit) {
+        let core = &bytes[l..r];
+        if core == b"*"
+            || (core.len() > 1 && core[0] == b'/')
+            || (core.len() >= 12 && core.iter().all(u8::is_ascii_hexdigit))
+        {
+            out.push_str(&tok[..l]);
+            out.push('*');
+            out.push_str(&tok[r..]);
+        } else {
+            out.push_str(tok);
+        }
+        return;
+    }
     if core_is_dynamic(&tok[l..r]) {
         out.push_str(&tok[..l]);
         out.push('*');

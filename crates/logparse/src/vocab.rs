@@ -5,9 +5,27 @@
 //! across parallel parsing workers behind a `parking_lot::RwLock`: lookups
 //! (the hot path once the vocabulary saturates) take the read lock,
 //! insertions the write lock.
+//!
+//! A served vocabulary grows with every novel non-Safe template a peer
+//! sends, so it is bounded: at most [`MAX_TEMPLATES`] templates and
+//! [`MAX_TEMPLATE_BYTES`] bytes of template text (each stored once).
+//! Past either bound a novel template gets [`OVERFLOW_PHRASE`], an id no
+//! template holds; the model clamps it like any id past its training
+//! vocabulary, so scoring does not change.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::Arc;
+
+/// Most templates a vocabulary holds.
+pub const MAX_TEMPLATES: usize = 1 << 16;
+
+/// Most bytes of template text a vocabulary holds.
+pub const MAX_TEMPLATE_BYTES: usize = 16 << 20;
+
+/// The phrase id of every template that arrives once the vocabulary is
+/// full: one past the last id a template can hold.
+pub const OVERFLOW_PHRASE: u32 = MAX_TEMPLATES as u32;
 
 /// Append-only bidirectional template ↔ id map.
 ///
@@ -25,8 +43,10 @@ pub struct Vocab {
 
 #[derive(Debug, Default)]
 struct VocabInner {
-    by_text: HashMap<String, u32>,
-    by_id: Vec<String>,
+    by_text: HashMap<Arc<str>, u32>,
+    by_id: Vec<Arc<str>>,
+    /// Template bytes held, counted once per template.
+    bytes: usize,
 }
 
 impl Vocab {
@@ -35,7 +55,8 @@ impl Vocab {
         Self::default()
     }
 
-    /// Get the id for a template, interning it if unseen.
+    /// Get the id for a template, interning it if unseen and the
+    /// vocabulary has room; [`OVERFLOW_PHRASE`] when it has none.
     pub fn intern(&self, template: &str) -> u32 {
         if let Some(&id) = self.inner.read().by_text.get(template) {
             return id;
@@ -44,9 +65,14 @@ impl Vocab {
         if let Some(&id) = w.by_text.get(template) {
             return id; // raced with another writer
         }
+        if w.by_id.len() >= MAX_TEMPLATES || w.bytes + template.len() > MAX_TEMPLATE_BYTES {
+            return OVERFLOW_PHRASE;
+        }
         let id = w.by_id.len() as u32;
-        w.by_id.push(template.to_string());
-        w.by_text.insert(template.to_string(), id);
+        let text: Arc<str> = Arc::from(template);
+        w.by_id.push(Arc::clone(&text));
+        w.by_text.insert(text, id);
+        w.bytes += template.len();
         id
     }
 
@@ -57,12 +83,17 @@ impl Vocab {
 
     /// Template text for an id.
     pub fn text(&self, id: u32) -> Option<String> {
-        self.inner.read().by_id.get(id as usize).cloned()
+        self.inner.read().by_id.get(id as usize).map(|t| t.to_string())
     }
 
     /// Number of interned templates.
     pub fn len(&self) -> usize {
         self.inner.read().by_id.len()
+    }
+
+    /// Bytes of template text held.
+    pub fn bytes(&self) -> usize {
+        self.inner.read().bytes
     }
 
     /// True when no template has been interned.
@@ -72,7 +103,7 @@ impl Vocab {
 
     /// Snapshot of all templates in id order.
     pub fn snapshot(&self) -> Vec<String> {
-        self.inner.read().by_id.clone()
+        self.inner.read().by_id.iter().map(|t| t.to_string()).collect()
     }
 }
 
@@ -135,5 +166,24 @@ mod tests {
             let id = v.get(&t).unwrap();
             assert_eq!(v.text(id).unwrap(), t);
         }
+    }
+
+    #[test]
+    fn interning_stops_at_the_entry_and_byte_bounds() {
+        let v = Vocab::new();
+        for i in 0..MAX_TEMPLATES {
+            assert_eq!(v.intern(&format!("t{i}")), i as u32);
+        }
+        assert_eq!(v.intern("one more"), OVERFLOW_PHRASE);
+        assert_eq!(v.intern("t7"), 7, "held templates keep their ids");
+        assert_eq!(v.len(), MAX_TEMPLATES);
+        assert_eq!(v.text(OVERFLOW_PHRASE), None);
+
+        let v = Vocab::new();
+        let big = "x".repeat(MAX_TEMPLATE_BYTES / 2);
+        assert_eq!(v.intern(&big), 0);
+        assert_eq!(v.intern(&format!("{big}y")), OVERFLOW_PHRASE);
+        assert_eq!(v.intern("short"), 1, "a template that fits still interns");
+        assert!(v.bytes() <= MAX_TEMPLATE_BYTES);
     }
 }

@@ -121,6 +121,13 @@ impl LatencyHistogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
+    /// Record `v` as `n` samples at the cost of one.
+    pub fn record_n(&self, v: u64, n: u64) {
+        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.saturating_mul(n), Ordering::Relaxed);
+    }
+
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
@@ -261,6 +268,16 @@ mod tests {
         let g = Gauge::new();
         g.set(2.5);
         assert_eq!(g.get(), 2.5);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let (one, many) = (LatencyHistogram::new(), LatencyHistogram::new());
+        for (v, n) in [(3u64, 4u64), (700, 1), (0, 2), (1 << 30, 3)] {
+            many.record_n(v, n);
+            (0..n).for_each(|_| one.record(v));
+        }
+        assert_eq!(one.snapshot(), many.snapshot());
     }
 
     #[test]

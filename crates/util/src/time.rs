@@ -86,26 +86,65 @@ impl Micros {
     /// Returns `None` on malformed input. Day information is lost (syslogs
     /// in the paper's excerpts carry none), so round trips are modulo 24h.
     pub fn parse_clock(text: &str) -> Option<Micros> {
-        let (hms, frac) = match text.split_once('.') {
-            Some((a, b)) => (a, b),
-            None => (text, "0"),
-        };
-        let mut parts = hms.split(':');
-        let h: u64 = parts.next()?.parse().ok()?;
-        let m: u64 = parts.next()?.parse().ok()?;
-        let s: u64 = parts.next()?.parse().ok()?;
-        if parts.next().is_some() || h >= 24 || m >= 60 || s >= 60 {
+        match Self::parse_clock_prefix(text.as_bytes())? {
+            (t, n) if n == text.len() => Some(t),
+            _ => None,
+        }
+    }
+
+    /// Parse a clock at the start of `b`, returning it and the bytes it
+    /// spans; the caller checks the byte that follows (a field
+    /// delimiter, or the end). Each of hours, minutes and seconds is an
+    /// optional `+` and one or more digits, as `u64::from_str` reads
+    /// them (leading zeros included); the fraction, when a `.` follows
+    /// the seconds, is one to six bare digits.
+    pub fn parse_clock_prefix(b: &[u8]) -> Option<(Micros, usize)> {
+        let (h, mut i) = leading_u64(b)?;
+        if b.get(i) != Some(&b':') {
             return None;
         }
-        if frac.is_empty() || frac.len() > 6 || !frac.bytes().all(|b| b.is_ascii_digit()) {
+        let (m, n) = leading_u64(&b[i + 1..])?;
+        i += 1 + n;
+        if b.get(i) != Some(&b':') {
             return None;
         }
-        // Right-pad the fraction to microseconds.
-        let us: u64 = frac.parse::<u64>().ok()? * 10u64.pow(6 - frac.len() as u32);
-        Some(Micros(
-            h * MICROS_PER_HOUR + m * MICROS_PER_MIN + s * MICROS_PER_SEC + us,
+        let (s, n) = leading_u64(&b[i + 1..])?;
+        i += 1 + n;
+        if h >= 24 || m >= 60 || s >= 60 {
+            return None;
+        }
+        let mut us = 0;
+        if b.get(i) == Some(&b'.') {
+            let digits = b[i + 1..].iter().take_while(|c| c.is_ascii_digit()).count();
+            if digits == 0 || digits > 6 {
+                return None;
+            }
+            // Right-pad the fraction to microseconds.
+            let frac = b[i + 1..i + 1 + digits]
+                .iter()
+                .fold(0, |acc, &c| acc * 10 + u64::from(c - b'0'));
+            us = frac * 10u64.pow(6 - digits as u32);
+            i += 1 + digits;
+        }
+        Some((
+            Micros(h * MICROS_PER_HOUR + m * MICROS_PER_MIN + s * MICROS_PER_SEC + us),
+            i,
         ))
     }
+}
+
+/// An optional `+` and one or more ASCII digits at the start of `b`, as
+/// `u64::from_str` accepts them; `None` on no digits or overflow.
+/// Returns the value and the bytes it spans.
+pub fn leading_u64(b: &[u8]) -> Option<(u64, usize)> {
+    let sign = usize::from(b.first() == Some(&b'+'));
+    let mut v = 0u64;
+    let mut i = sign;
+    while let Some(&c) = b.get(i).filter(|c| c.is_ascii_digit()) {
+        v = v.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
+        i += 1;
+    }
+    (i > sign).then_some((v, i))
 }
 
 impl Add for Micros {

@@ -46,42 +46,38 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    // `runs` and `capsule` take positional subcommands/ids, so they parse
-    // their own args.
-    let result = if cmd == "runs" {
-        cmd_runs(&args[1..])
-    } else if cmd == "capsule" {
-        cmd_capsule(&args[1..])
-    } else if cmd == "shadow" {
-        cmd_shadow(&args[1..])
-    } else {
-        let boolean: &[&str] = match cmd.as_str() {
-            "train" => &["fast"],
-            "predict" => &["fast", "profile"],
-            "serve" => &["drop-oldest"],
-            "slo" => &["json"],
-            _ => &[],
-        };
-        let opts = match parse_flags(&args[1..], boolean) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{USAGE}");
-                return ExitCode::FAILURE;
+    // `runs`, `capsule` and `shadow` take positional subcommands/ids, so
+    // they parse their own args.
+    let result = match cmd.as_str() {
+        "runs" => cmd_runs(&args[1..]),
+        "capsule" => cmd_capsule(&args[1..]),
+        "shadow" => cmd_shadow(&args[1..]),
+        "--help" | "-h" | "help" => {
+            println!("{USAGE}");
+            Ok(())
+        }
+        other => {
+            let run: fn(&Flags) -> Result<(), String> = match other {
+                "generate" => cmd_generate,
+                "train" => cmd_train,
+                "predict" => cmd_predict,
+                "serve" => cmd_serve,
+                "drive" => cmd_drive,
+                "analyze" => cmd_analyze,
+                "slo" => cmd_slo,
+                _ => {
+                    eprintln!("error: unknown command {other:?}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            let spec = flag_spec(other).expect("every command lists its flags");
+            match parse_flags(&args[1..], spec) {
+                Ok(opts) => run(&opts),
+                Err(e) => {
+                    eprintln!("error: {e}\n\n{USAGE}");
+                    return ExitCode::FAILURE;
+                }
             }
-        };
-        match cmd.as_str() {
-            "generate" => cmd_generate(&opts),
-            "train" => cmd_train(&opts),
-            "predict" => cmd_predict(&opts),
-            "serve" => cmd_serve(&opts),
-            "drive" => cmd_drive(&opts),
-            "analyze" => cmd_analyze(&opts),
-            "slo" => cmd_slo(&opts),
-            "--help" | "-h" | "help" => {
-                println!("{USAGE}");
-                Ok(())
-            }
-            other => Err(format!("unknown command {other:?}")),
         }
     };
     match result {
@@ -212,21 +208,152 @@ USAGE:
 
 type Flags = HashMap<String, String>;
 
-/// Parse `--key value` pairs; keys listed in `boolean` take no value.
-/// Which keys are boolean depends on the command — `generate --profile`
-/// names a system profile while `predict --profile` toggles the sampler.
-/// A value never starts with `--`, so a flag missing its value cannot
-/// swallow the flag after it (single-dash values such as `-1` parse).
-fn parse_flags(args: &[String], boolean: &[&str]) -> Result<Flags, String> {
+/// The flags one command accepts: `values` take a value, `switches` do
+/// not. Which keys are switches depends on the command — `generate
+/// --profile` names a system profile while `predict --profile` toggles
+/// the sampler.
+struct FlagSpec {
+    command: &'static str,
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+}
+
+/// Every command's flags; a subcommand is named with its command.
+const FLAG_SPECS: &[FlagSpec] = &[
+    FlagSpec {
+        command: "generate",
+        values: &["profile", "out", "truth", "seed"],
+        switches: &[],
+    },
+    FlagSpec {
+        command: "train",
+        values: &["log", "out", "seed", "telemetry", "run-dir", "run-id"],
+        switches: &["fast"],
+    },
+    FlagSpec {
+        command: "predict",
+        values: &[
+            "log",
+            "model",
+            "truth",
+            "telemetry",
+            "serve",
+            "serve-secs",
+            "trace-dir",
+            "runs-dir",
+            "capsule-dir",
+            "shadow",
+            "shadow-ledger",
+            "shadow-slack",
+            "profile-every",
+        ],
+        switches: &["profile"],
+    },
+    FlagSpec {
+        command: "serve",
+        values: &[
+            "model",
+            "listen",
+            "shards",
+            "slots",
+            "queue-depth",
+            "batch-max",
+            "http",
+            "shadow",
+            "shadow-ledger",
+            "shadow-slack",
+            "serve-secs",
+        ],
+        switches: &["drop-oldest"],
+    },
+    FlagSpec {
+        command: "drive",
+        values: &["log", "to", "secs", "rate"],
+        switches: &[],
+    },
+    FlagSpec {
+        command: "analyze",
+        values: &["log"],
+        switches: &[],
+    },
+    FlagSpec {
+        command: "slo",
+        values: &["addr"],
+        switches: &["json"],
+    },
+    FlagSpec {
+        command: "runs list",
+        values: &["dir"],
+        switches: &["json"],
+    },
+    FlagSpec {
+        command: "runs show",
+        values: &["dir"],
+        switches: &[],
+    },
+    FlagSpec {
+        command: "runs diff",
+        values: &["dir"],
+        switches: &[],
+    },
+    FlagSpec {
+        command: "capsule record",
+        values: &["log", "model", "out"],
+        switches: &[],
+    },
+    FlagSpec {
+        command: "capsule list",
+        values: &["dir"],
+        switches: &["json"],
+    },
+    FlagSpec {
+        command: "capsule verify",
+        values: &[],
+        switches: &[],
+    },
+    FlagSpec {
+        command: "capsule replay",
+        values: &["model"],
+        switches: &["allow-backend-mismatch"],
+    },
+    FlagSpec {
+        command: "capsule diff",
+        values: &["model"],
+        switches: &[],
+    },
+    FlagSpec {
+        command: "shadow report",
+        values: &[
+            "ledger",
+            "max-warning-delta-pct",
+            "max-pr-regression",
+            "max-lead-regression-buckets",
+        ],
+        switches: &["json"],
+    },
+];
+
+fn flag_spec(command: &str) -> Option<&'static FlagSpec> {
+    FLAG_SPECS.iter().find(|s| s.command == command)
+}
+
+/// Parse `--key value` pairs and `--switch`es against `spec`; any other
+/// flag is refused by name. A value never starts with `--`, so a flag
+/// missing its value cannot swallow the flag after it (single-dash
+/// values such as `-1` parse).
+fn parse_flags(args: &[String], spec: &FlagSpec) -> Result<Flags, String> {
     let mut out = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a:?}"));
         };
-        if boolean.contains(&key) {
+        if spec.switches.contains(&key) {
             out.insert(key.to_string(), "true".to_string());
             continue;
+        }
+        if !spec.values.contains(&key) {
+            return Err(format!("unknown flag --{key} for {}", spec.command));
         }
         let Some(v) = it.next().filter(|v| !v.starts_with("--")) else {
             return Err(format!("flag --{key} needs a value"));
@@ -1278,15 +1405,26 @@ fn cmd_analyze(opts: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `runs list|show|diff` — positional subcommands, so this parses its own
-/// argument list instead of going through [`parse_flags`] first.
-fn cmd_shadow(args: &[String]) -> Result<(), String> {
+/// Split a subcommand's positional arguments from its flags, and parse
+/// the flags against `<group> <sub>`'s spec. An unknown subcommand parses
+/// no flags; its caller answers with the usage.
+fn sub_flags<'a>(group: &str, args: &'a [String]) -> Result<(&'a [String], Flags), String> {
     let split = args
         .iter()
         .position(|a| a.starts_with("--"))
         .unwrap_or(args.len());
     let (pos, flags) = args.split_at(split);
-    let opts = parse_flags(flags, &["json"])?;
+    let sub = pos.first().map_or("", String::as_str);
+    match flag_spec(&format!("{group} {sub}")) {
+        Some(spec) => Ok((pos, parse_flags(flags, spec)?)),
+        None => Ok((pos, Flags::new())),
+    }
+}
+
+/// `shadow report` — a positional subcommand, so this parses its own
+/// argument list instead of going through [`parse_flags`] first.
+fn cmd_shadow(args: &[String]) -> Result<(), String> {
+    let (pos, opts) = sub_flags("shadow", args)?;
     match pos {
         [sub] if sub == "report" => shadow_report(&opts),
         _ => Err(
@@ -1335,13 +1473,10 @@ fn shadow_report(opts: &Flags) -> Result<(), String> {
     }
 }
 
+/// `runs list|show|diff` — positional subcommands, parsed like
+/// [`cmd_shadow`].
 fn cmd_runs(args: &[String]) -> Result<(), String> {
-    let split = args
-        .iter()
-        .position(|a| a.starts_with("--"))
-        .unwrap_or(args.len());
-    let (pos, flags) = args.split_at(split);
-    let opts = parse_flags(flags, &["json"])?;
+    let (pos, opts) = sub_flags("runs", args)?;
     let dir = PathBuf::from(opts.get("dir").map(String::as_str).unwrap_or("runs"));
     match pos {
         [sub] if sub == "list" => runs_list(&dir, opts.contains_key("json")),
@@ -1522,14 +1657,9 @@ fn capsule_context(
 }
 
 /// `capsule record|list|verify|replay|diff` — positional subcommands,
-/// parsed like [`cmd_runs`].
+/// parsed like [`cmd_shadow`].
 fn cmd_capsule(args: &[String]) -> Result<(), String> {
-    let split = args
-        .iter()
-        .position(|a| a.starts_with("--"))
-        .unwrap_or(args.len());
-    let (pos, flags) = args.split_at(split);
-    let opts = parse_flags(flags, &["json", "allow-backend-mismatch"])?;
+    let (pos, opts) = sub_flags("capsule", args)?;
     match pos {
         [sub] if sub == "record" => capsule_record(&opts),
         [sub] if sub == "list" => capsule_list(&opts),
@@ -1715,7 +1845,7 @@ fn capsule_replay(file: &str, opts: &Flags, expect_divergence: bool) -> Result<(
 
 #[cfg(test)]
 mod tests {
-    use super::parse_flags;
+    use super::{flag_spec, parse_flags, FLAG_SPECS};
 
     fn args(xs: &[&str]) -> Vec<String> {
         xs.iter().map(|x| x.to_string()).collect()
@@ -1723,15 +1853,31 @@ mod tests {
 
     #[test]
     fn value_flag_never_swallows_the_next_flag() {
-        let err = parse_flags(&args(&["--trace-dir", "--fast"]), &["fast"]).unwrap_err();
+        let predict = flag_spec("predict").unwrap();
+        let err = parse_flags(&args(&["--trace-dir", "--profile"]), predict).unwrap_err();
         assert_eq!(err, "flag --trace-dir needs a value");
-        let err = parse_flags(&args(&["--log", "x", "--model"]), &[]).unwrap_err();
+        let err = parse_flags(&args(&["--log", "x", "--model"]), predict).unwrap_err();
         assert_eq!(err, "flag --model needs a value");
-        let opts = parse_flags(&args(&["--trace-dir", "t", "--fast"]), &["fast"]).unwrap();
+        let opts = parse_flags(&args(&["--trace-dir", "t", "--profile"]), predict).unwrap();
         assert_eq!(opts["trace-dir"], "t");
-        assert_eq!(opts["fast"], "true");
+        assert_eq!(opts["profile"], "true");
         // Single-dash values are values: CI passes a negative threshold.
-        let opts = parse_flags(&args(&["--max-warning-delta-pct", "-1"]), &[]).unwrap();
+        let report = flag_spec("shadow report").unwrap();
+        let opts = parse_flags(&args(&["--max-warning-delta-pct", "-1"]), report).unwrap();
         assert_eq!(opts["max-warning-delta-pct"], "-1");
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_by_command() {
+        let predict = flag_spec("predict").unwrap();
+        let err = parse_flags(&args(&["--trace-dri", "out"]), predict).unwrap_err();
+        assert_eq!(err, "unknown flag --trace-dri for predict");
+        let err = parse_flags(&args(&["--profile", "tiny"]), flag_spec("train").unwrap());
+        assert_eq!(err.unwrap_err(), "unknown flag --profile for train");
+        for spec in FLAG_SPECS {
+            for key in spec.values {
+                assert!(!spec.switches.contains(key), "{} --{key}", spec.command);
+            }
+        }
     }
 }

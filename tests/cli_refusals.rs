@@ -1,9 +1,10 @@
-//! Artifacts and commands of the removed int8 scoring path are refused by
-//! name at the CLI: a `.dshq` checkpoint on every command that loads a
+//! What the CLI refuses, by name: artifacts and commands of the removed
+//! int8 scoring path (a `.dshq` checkpoint on every command that loads a
 //! model, a capsule pinned to a precision other than f32, and the
-//! `quantize` command.
+//! `quantize` command), any flag its command does not take, and a
+//! capsule naming a phrase id past the vocabulary bound.
 
-use desh::obs::{Capsule, CapsuleMeta};
+use desh::obs::{Capsule, CapsuleEvent, CapsuleMeta};
 use desh::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -24,8 +25,9 @@ fn fails(args: &[&str]) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// An empty capsule pinned to `precision`, sealed on this host's backend.
-fn write_capsule(path: &Path, precision: &str) {
+/// A capsule of `events` pinned to `precision`, sealed on this host's
+/// backend.
+fn write_capsule_of(path: &Path, precision: &str, events: Vec<CapsuleEvent>) {
     let meta = CapsuleMeta {
         backend: desh::nn::kernel_backend_name().to_string(),
         precision: precision.to_string(),
@@ -33,10 +35,34 @@ fn write_capsule(path: &Path, precision: &str) {
     };
     Capsule {
         meta,
-        events: Vec::new(),
+        events,
         warnings: Vec::new(),
     }
     .write(path)
+    .unwrap();
+}
+
+/// An empty capsule pinned to `precision`.
+fn write_capsule(path: &Path, precision: &str) {
+    write_capsule_of(path, precision, Vec::new());
+}
+
+/// A one-template checkpoint, valid enough for replay to read.
+fn write_checkpoint(path: &Path) {
+    let vocab = desh::logparse::Vocab::new();
+    vocab.intern("node down");
+    let mut rng = Xoshiro256pp::seed_from_u64(1);
+    let model = LeadTimeModel {
+        net: VectorLstm::new(2, 4, 1, &mut rng),
+        dt_scale: 300.0,
+        vocab_size: 1,
+        history: 5,
+        losses: Vec::new(),
+    };
+    std::fs::write(
+        path,
+        desh::checkpoint::encode_checkpoint(&model, &vocab, &[], "", 0),
+    )
     .unwrap();
 }
 
@@ -67,22 +93,8 @@ fn int8_checkpoints_are_refused_by_name() {
 fn int8_capsules_and_the_quantize_command_are_refused() {
     let dir = temp_dir("capsule");
     // A valid checkpoint, so replay gets as far as the capsule's pins.
-    let vocab = desh::logparse::Vocab::new();
-    vocab.intern("node down");
-    let mut rng = Xoshiro256pp::seed_from_u64(1);
-    let model = LeadTimeModel {
-        net: VectorLstm::new(2, 4, 1, &mut rng),
-        dt_scale: 300.0,
-        vocab_size: 1,
-        history: 5,
-        losses: Vec::new(),
-    };
     let ckpt = dir.join("model.dshm");
-    std::fs::write(
-        &ckpt,
-        desh::checkpoint::encode_checkpoint(&model, &vocab, &[], "", 0),
-    )
-    .unwrap();
+    write_checkpoint(&ckpt);
     let cap = dir.join("int8.dcap");
     write_capsule(&cap, "int8");
     let err = fails(&[
@@ -105,5 +117,97 @@ fn int8_capsules_and_the_quantize_command_are_refused() {
         "x.dshq",
     ]);
     assert!(err.contains("unknown command \"quantize\""), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn flags_a_command_does_not_take_are_refused_by_name() {
+    for (args, named) in [
+        (
+            vec![
+                "predict", "--log", "l.txt", "--model", "m.dshm", "--int8", "yes",
+            ],
+            "unknown flag --int8 for predict",
+        ),
+        (
+            vec!["predict", "--log", "l.txt", "--trace-dri", "out"],
+            "unknown flag --trace-dri for predict",
+        ),
+        (
+            vec![
+                "serve",
+                "--model",
+                "m.dshm",
+                "--listen",
+                "127.0.0.1:0",
+                "--fast",
+            ],
+            "unknown flag --fast for serve",
+        ),
+        (
+            vec![
+                "generate",
+                "--profile",
+                "tiny",
+                "--out",
+                "x",
+                "--telemetry",
+                "t",
+            ],
+            "unknown flag --telemetry for generate",
+        ),
+        (
+            vec!["capsule", "replay", "c.dcap", "--allow-precision-mismatch"],
+            "unknown flag --allow-precision-mismatch for capsule replay",
+        ),
+        (
+            vec!["runs", "list", "--dir", "runs", "--verbose"],
+            "unknown flag --verbose for runs list",
+        ),
+        (
+            vec![
+                "shadow",
+                "report",
+                "--ledger",
+                "s.jsonl",
+                "--max-recall",
+                "1",
+            ],
+            "unknown flag --max-recall for shadow report",
+        ),
+    ] {
+        let err = fails(&args);
+        assert!(err.contains(named), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn a_capsule_naming_a_phrase_past_the_vocabulary_bound_is_refused() {
+    let dir = temp_dir("forged");
+    let ckpt = dir.join("model.dshm");
+    write_checkpoint(&ckpt);
+    let event = |phrase: u32, seq: u64| CapsuleEvent {
+        seq,
+        at_us: 1_000_000 * (seq + 1),
+        node: "c0-0c0s0n0".to_string(),
+        text: format!("forged failure {seq}"),
+        phrase,
+        reset: seq == 0,
+        trace: None,
+    };
+    let cap = dir.join("forged.dcap");
+    write_capsule_of(&cap, "f32", vec![event(1, 0), event(u32::MAX, 1)]);
+    let err = fails(&[
+        "capsule",
+        "replay",
+        cap.to_str().unwrap(),
+        "--model",
+        ckpt.to_str().unwrap(),
+    ]);
+    assert!(
+        err.contains("capsule event 1 (node c0-0c0s0n0, at_us 2000000) names phrase id 4294967295"),
+        "{err}"
+    );
+    assert!(err.contains("past the vocabulary bound"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }

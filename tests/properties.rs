@@ -1,9 +1,221 @@
 //! Property-based tests (proptest) on the workspace's core data structures
 //! and invariants.
 
+use desh::loggen::{DayClock, LineHead};
+use desh::logparse::extract_template_into;
 use desh::prelude::*;
 use desh::util::codec::{Decoder, Encoder};
+use desh::util::time::MICROS_PER_DAY;
 use proptest::prelude::*;
+
+/// The str-based line parser the byte-level head parse replaced, kept as
+/// the reference it must agree with on every input.
+mod reference {
+    use desh::prelude::NodeId;
+
+    /// `HH:MM:SS[.frac]` in microseconds of the day.
+    pub fn clock(text: &str) -> Option<u64> {
+        let (hms, frac) = match text.split_once('.') {
+            Some((a, b)) => (a, b),
+            None => (text, "0"),
+        };
+        let mut parts = hms.split(':');
+        let h: u64 = parts.next()?.parse().ok()?;
+        let m: u64 = parts.next()?.parse().ok()?;
+        let s: u64 = parts.next()?.parse().ok()?;
+        if parts.next().is_some() || h >= 24 || m >= 60 || s >= 60 {
+            return None;
+        }
+        if frac.is_empty() || frac.len() > 6 || !frac.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        let us: u64 = frac.parse::<u64>().ok()? * 10u64.pow(6 - frac.len() as u32);
+        Some(h * 3_600_000_000 + m * 60_000_000 + s * 1_000_000 + us)
+    }
+
+    /// `cX-YcCsSnN`.
+    pub fn node(s: &str) -> Option<NodeId> {
+        let rest = s.strip_prefix('c')?;
+        let (cx, rest) = rest.split_once('-')?;
+        let (cy, rest) = rest.split_once('c')?;
+        let (ch, rest) = rest.split_once('s')?;
+        let (sl, nd) = rest.split_once('n')?;
+        let (cab_x, cab_y): (u8, u8) = (cx.parse().ok()?, cy.parse().ok()?);
+        let (chassis, slot, node): (u8, u8, u8) =
+            (ch.parse().ok()?, sl.parse().ok()?, nd.parse().ok()?);
+        if chassis >= 3 || slot >= 16 || node >= 4 {
+            return None;
+        }
+        Some(NodeId::new(cab_x, cab_y, chassis, slot, node))
+    }
+
+    /// `clock node text`, text non-empty.
+    pub fn line(s: &str) -> Option<(u64, NodeId, String)> {
+        let mut parts = s.splitn(3, ' ');
+        let time = clock(parts.next()?)?;
+        let node = node(parts.next()?)?;
+        let text = parts.next()?.to_string();
+        (!text.is_empty()).then_some((time, node, text))
+    }
+}
+
+fn pick<'a>(rng: &mut Xoshiro256pp, xs: &[&'a str]) -> &'a str {
+    xs[rng.below(xs.len() as u64) as usize]
+}
+
+/// A decimal field as a peer may send it: mostly below `max`, else 256
+/// and above or 20 digits, sometimes `+`-signed or zero-padded.
+fn number_field(rng: &mut Xoshiro256pp, max: u64) -> String {
+    let v = match rng.below(8) {
+        0 => 256 + rng.below(1000),
+        1 => u64::MAX - rng.below(3),
+        2 => max + rng.below(3),
+        _ => rng.below(max),
+    };
+    let mut s = match rng.below(6) {
+        0 => format!("{v:0>21}"),
+        1 => format!("{v:03}"),
+        _ => v.to_string(),
+    };
+    if rng.below(6) == 0 {
+        s.insert(0, '+');
+    }
+    s
+}
+
+/// A raw log line, often valid.
+fn valid_line(rng: &mut Xoshiro256pp) -> String {
+    let frac = match rng.below(5) {
+        0 => String::new(),
+        1 => format!(".{}", "1234567".get(..rng.below(8) as usize).unwrap()),
+        2 => format!(".+{}", rng.below(99)),
+        _ => format!(".{:06}", rng.below(1_000_000)),
+    };
+    let clock = format!(
+        "{}:{}:{}{frac}",
+        number_field(rng, 24),
+        number_field(rng, 60),
+        number_field(rng, 60)
+    );
+    let node = format!(
+        "c{}-{}c{}s{}n{}",
+        number_field(rng, 256),
+        number_field(rng, 256),
+        number_field(rng, 3),
+        number_field(rng, 16),
+        number_field(rng, 4)
+    );
+    let text = pick(
+        rng,
+        &[
+            "",
+            " ",
+            "Wait4Boot",
+            "  lead",
+            "a b  c\t",
+            "näme 12",
+            "x\u{3000}y",
+            "cb_node_unavailable",
+        ],
+    );
+    format!(
+        "{clock}{}{node}{}{text}",
+        pick(rng, &[" ", " ", " ", "  ", "\t", ""]),
+        pick(rng, &[" ", " ", " ", "  ", ""])
+    )
+}
+
+/// A line for the head parser: arbitrary soup, or a valid-looking line
+/// with a few characters deleted, inserted or replaced.
+fn arbitrary_line(rng: &mut Xoshiro256pp) -> String {
+    const ALPHABET: &[&str] = &[
+        "0", "1", "9", ":", ".", "+", "-", " ", "c", "s", "n", "x", "\t", "é", "\u{a0}",
+    ];
+    if rng.below(4) == 0 {
+        return (0..rng.below(40)).map(|_| pick(rng, ALPHABET)).collect();
+    }
+    let mut chars: Vec<char> = valid_line(rng).chars().collect();
+    for _ in 0..rng.below(3) {
+        let at = rng.below(chars.len() as u64 + 1) as usize;
+        let c = pick(rng, ALPHABET).chars().next().unwrap();
+        match rng.below(3) {
+            0 if at < chars.len() => {
+                chars.remove(at);
+            }
+            1 if at < chars.len() => chars[at] = c,
+            _ => chars.insert(at, c),
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// A digit-free hex word of `len` letters.
+fn hex_word(rng: &mut Xoshiro256pp, len: u64) -> String {
+    (0..len)
+        .map(|_| pick(rng, &["a", "b", "c", "d", "e", "f", "A", "F"]))
+        .collect()
+}
+
+/// Message text mixing every token shape templating treats specially,
+/// separated by runs of whitespace: the six ASCII whitespace bytes, and
+/// in a quarter of the texts U+00A0 and U+3000 too.
+fn token_mix(rng: &mut Xoshiro256pp) -> String {
+    let unicode = rng.below(4) == 0;
+    let mut spaces = vec![" ", "\t", "\n", "\u{0B}", "\u{0C}", "\r"];
+    if unicode {
+        spaces.extend(["\u{A0}", "\u{3000}"]);
+    }
+    let mut out = String::new();
+    for i in 0..rng.below(12) {
+        if i > 0 || rng.below(4) == 0 {
+            for _ in 0..1 + rng.below(3) {
+                out.push_str(pick(rng, &spaces));
+            }
+        }
+        let mut tok = match rng.below(12) {
+            0 => pick(
+                rng,
+                &[
+                    "Kernel",
+                    "panic",
+                    "LustreError",
+                    "h/w",
+                    "=",
+                    "-",
+                    "severity=Corrected",
+                ],
+            )
+            .to_string(),
+            1 => {
+                let len = 11 + rng.below(3);
+                hex_word(rng, len)
+            }
+            2 => format!("/{}/{}", hex_word(rng, 2), pick(rng, &["bin", "x9", ""])),
+            3 => "*".to_string(),
+            4 => format!("-{}", rng.below(10_000)),
+            5 => format!("0x{:x}", rng.below(1 << 40)),
+            6 => format!("Info{}={}", rng.below(4), pick(rng, &["0x4c0", "on", "12"])),
+            7 => format!("hwerr[{}]:", rng.below(99_999)),
+            8 => "20141216t162520".to_string(),
+            9 => format!("{}{:x}", hex_word(rng, 4), rng.below(1 << 32)),
+            10 => pick(rng, &["::", "[[", ")", "<>", ""]).to_string(),
+            _ if unicode => pick(rng, &["näme[37]:", "café42", "μ12", "éclair"]).to_string(),
+            _ => pick(rng, &["Wait4Boot", "EXT4-fs", "x123y", "99bottles"]).to_string(),
+        };
+        if rng.below(3) == 0 {
+            tok = format!(
+                "{}{tok}{}",
+                pick(rng, &["(", "[", "<", "", "(("]),
+                pick(rng, &[",", ".", ";", ":", ")", "]", ">", "):"])
+            );
+        }
+        out.push_str(&tok);
+    }
+    if rng.below(4) == 0 {
+        out.push_str(pick(rng, &spaces));
+    }
+    out
+}
 
 proptest! {
     // ---- codec ------------------------------------------------------------
@@ -53,6 +265,57 @@ proptest! {
         prop_assert_eq!(Micros::parse_clock(&t.as_clock()).unwrap(), t);
     }
 
+    // ---- line head parse ---------------------------------------------------
+
+    #[test]
+    fn line_head_parse_matches_the_str_parser(seed in any::<u64>()) {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        for _ in 0..400 {
+            let line = arbitrary_line(&mut rng);
+            let want = reference::line(&line);
+            let head = LineHead::parse(&line).map(|h| (h.time.0, h.node, h.text.to_string()));
+            prop_assert_eq!(&head, &want, "line {:?}", line);
+            let record = line.parse::<LogRecord>().ok().map(|r| (r.time.0, r.node, r.text));
+            prop_assert_eq!(&record, &want, "line {:?}", line);
+            let mut fields = line.splitn(3, ' ');
+            let clock = fields.next().unwrap_or("");
+            let parsed = Micros::parse_clock(clock).map(|t| t.0);
+            prop_assert_eq!(parsed, reference::clock(clock), "clock {:?}", clock);
+            let node = fields.next().unwrap_or("");
+            prop_assert_eq!(node.parse::<NodeId>().ok(), reference::node(node), "node {:?}", node);
+        }
+    }
+
+    #[test]
+    fn day_clock_matches_the_str_parser_across_midnights(seed in any::<u64>()) {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let (mut owned, mut borrowed) = (DayClock::new(), DayClock::new());
+        let (mut prev, mut offset) = (None::<u64>, 0u64);
+        let mut clock_us = rng.below(MICROS_PER_DAY);
+        for _ in 0..400 {
+            // Mostly forward in time, wrapping at 24:00, sometimes garbage.
+            clock_us = (clock_us + rng.below(4 * 3_600_000_000)) % MICROS_PER_DAY;
+            let line = match rng.below(5) {
+                0 => arbitrary_line(&mut rng),
+                _ => {
+                    let clock = Micros(clock_us).as_clock();
+                    format!("{clock} c0-0c0s{}n0 text {}", rng.below(16), rng.below(9))
+                }
+            };
+            let want = reference::line(&line).map(|(clock, node, text)| {
+                if prev.is_some_and(|p| clock < p) {
+                    offset = offset.saturating_add(MICROS_PER_DAY);
+                }
+                prev = Some(clock);
+                (clock.saturating_add(offset), node, text)
+            });
+            let got = owned.parse(&line).ok().map(|r| (r.time.0, r.node, r.text));
+            prop_assert_eq!(&got, &want, "line {:?}", line);
+            let head = borrowed.parse_head(&line).map(|h| (h.time.0, h.node, h.text.to_string()));
+            prop_assert_eq!(&head, &want, "line {:?}", line);
+        }
+    }
+
     // ---- node ids ----------------------------------------------------------
 
     #[test]
@@ -70,6 +333,17 @@ proptest! {
         let once = extract_template(&s);
         let twice = extract_template(&once);
         prop_assert_eq!(&once, &twice, "input was {:?}", s);
+    }
+
+    #[test]
+    fn template_fast_path_is_byte_identical(seed in any::<u64>()) {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let mut buf = String::from("stale");
+        for _ in 0..300 {
+            let text = token_mix(&mut rng);
+            extract_template_into(&text, &mut buf);
+            prop_assert_eq!(&buf, &extract_template(&text), "text {:?}", text);
+        }
     }
 
     #[test]
